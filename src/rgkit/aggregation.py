@@ -9,13 +9,16 @@ center-minus-neighbor offset:
 * :func:`lfa_traversal` — scalar per-center scan; the reference oracle.
 * :func:`lfa_broadcast_mask` — materializes the dense ``N x N`` mask and
   an ``N x N x (c_raw + 3)`` pair tensor; fast but memory-hungry.
-* :func:`lfa_index_scatter` — enumerates neighbor pairs once, applies the
-  layer per pair, and segment-means by center index; fast and lean.
+* :func:`lfa_index_scatter` — enumerates neighbor pairs once, segment-means
+  the per-pair inputs by center index, and applies the layer once per
+  point; fast and lean.
 
 All three evaluate squared distances with the same expression
 ``dx*dx + dy*dy + dz*dz`` and compare against ``r*r``, so the neighbor
-sets are bit-identical across implementations; outputs then agree to the
-rounding of affine rearrangement (far below the 1e-9 equivalence budget).
+sets are bit-identical across implementations.  The layer is affine, so
+the two optimized variants project the neighborhood mean instead of
+averaging per-neighbor projections; outputs then agree to the rounding of
+that rearrangement (far below the 1e-9 equivalence budget).
 
 Global aggregation (:func:`gfa`) is a single pre-norm self-attention
 block: ``f1 = Linear(f)``; ``(Q, K, V) = Linear(LayerNorm(f1))`` as one
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -282,10 +285,12 @@ def traversal_mem_bytes(n: int, c_raw: int, c: int) -> int:
 
 def index_scatter_mem_bytes(n: int, c_raw: int, c: int, n_pairs: int) -> int:
     """Dominant transient bytes of :func:`lfa_index_scatter`: the larger of
-    the chunked index-build phase and the per-pair apply phase."""
+    the chunked index-build phase and the reduce phase: the pair indices,
+    the ``n_pairs x (c_raw + 3)`` pair tensor, one gathered position block,
+    and the per-point input table, sums, means and output."""
     build = 9 * min(n, ROW_CHUNK) * n + 16 * n_pairs
-    apply = n_pairs * (16 + 8 * (c_raw + 3) + 8 * c)
-    return max(build, apply)
+    reduce = n_pairs * (16 + 24 + 8 * (c_raw + 3)) + 8 * n * (3 * (c_raw + 3) + c)
+    return max(build, reduce)
 
 
 def lfa_broadcast_mask(
@@ -371,22 +376,22 @@ def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
 
 
 def lfa_index_scatter(cloud: PointCloud, layer: LinearLayer, r: float) -> Array:
-    """Sparse variant: gather per-pair inputs, project once, segment-mean
-    by center index."""
+    """Sparse variant: gather per-pair inputs, segment-mean them by center
+    index, then project each point's mean once."""
     _check_lfa_args(cloud, layer, r)
     n = len(cloud)
     if n == 0:
         return np.zeros((0, layer.out_dim))
     idx = build_neighbor_index(cloud, r)
     pos = cloud.positions
-    pair = np.concatenate(
-        [cloud.features[idx.col_idx], pos[idx.row_idx] - pos[idx.col_idx]], axis=1
-    )
-    per_pair = layer.apply(pair)
+    k = cloud.c_raw
+    # one gather yields (f_j, p_j); p_j is then overwritten by p_i - p_j
+    pair = np.concatenate([cloud.features, pos], axis=1)[idx.col_idx]
+    np.subtract(pos[idx.row_idx], pair[:, k:], out=pair[:, k:])
     counts = idx.counts()
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    return np.add.reduceat(per_pair, starts, axis=0) / counts[:, None]
+    return layer.apply(np.add.reduceat(pair, starts, axis=0) / counts[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +531,8 @@ def init_weights(
 ) -> PgeParams:
     """Deterministic parameter set: every tensor gets its own named stream,
     so any one tensor is reproducible without drawing the others."""
-    if c < 1 or c_raw < 0:
-        raise InvalidSpec(f"need c >= 1 and c_raw >= 0, got c={c}, c_raw={c_raw}")
+    if c < 1 or c_raw < 1:
+        raise InvalidSpec(f"need c >= 1 and c_raw >= 1, got c={c}, c_raw={c_raw}")
     if n_heads < 1 or c % n_heads:
         raise InvalidSpec(f"head count {n_heads} must divide dim {c}")
 

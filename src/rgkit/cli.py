@@ -10,9 +10,8 @@ Commands
 
 Configuration precedence (lowest to highest): built-in defaults, then
 ``--config`` file, then ``--preset``, then ``--set KEY=VALUE`` overrides,
-then specific flags such as ``--seed`` or ``--threads``.  ``--threads``
-falls back to the ``RGK_THREADS`` environment variable.  ``--dump-config``
-prints the merged configuration and exits without doing work.
+then specific flags such as ``--seed``.  ``--dump-config`` prints the
+merged configuration and exits without doing work.
 
 Exit codes: 0 success; 1 usage error; 2 malformed input or I/O failure;
 3 numerical or shape failure; 4 a gate or check reported a failure.
@@ -22,8 +21,6 @@ Errors print a single ``error: <Type>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
 
 from .aggregation import init_weights
@@ -80,14 +77,6 @@ def _merge_config(args) -> RunConfig:
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
         cfg = apply_updates(cfg, raw)
-    if getattr(args, "threads", None) is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
-    elif "RGK_THREADS" in os.environ:
-        env = os.environ["RGK_THREADS"]
-        try:
-            cfg = dataclasses.replace(cfg, threads=int(env))
-        except ValueError:
-            raise InvalidSpec(f"RGK_THREADS must be an integer, got {env!r}") from None
     return cfg.validate()
 
 
@@ -128,7 +117,7 @@ def cmd_encode(args) -> int:
     params = init_weights(
         seed, c_raw=cloud.c_raw, c=cfg.c, n_heads=cfg.n_heads, r=cfg.r, s_min=cfg.s_min
     )
-    fmap = encode(cloud, params, cfg.bev(), cfg.raster_settings(), threads=cfg.threads)
+    fmap = encode(cloud, params, cfg.bev(), cfg.raster_settings())
     write_feature_map(fmap, args.out)
     print(f"wrote {args.out} (channels={fmap.channels}, h={cfg.h}, w={cfg.w})")
     print(f"nonzero_pixels = {nonzero_pixels(fmap)}")
@@ -223,8 +212,6 @@ def _add_config_options(parser) -> None:
                        help="apply a named BEV extent/resolution bundle")
     group.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key (repeatable)")
-    group.add_argument("--threads", type=int, default=None,
-                       help="worker threads (<= 0 means all cores; env RGK_THREADS)")
     group.add_argument("--dump-config", action="store_true",
                        help="print the merged configuration and exit")
 

@@ -34,7 +34,6 @@ class RunConfig:
     c: int = 64
     n_heads: int = 1
     s_min: float = 1e-3
-    threads: int = 0
     mem_cap: int = DEFAULT_MEM_CAP
     x_min: float = 0.0
     x_max: float = 51.2
@@ -110,7 +109,7 @@ _KEY_TO_FIELD = {
     **{f.name: f.name for f in dataclasses.fields(RunConfig) if f.name not in ("lam", "a_per_class")},
     "lambda": "lam",
 }
-_INT_FIELDS = {"seed", "c", "n_heads", "threads", "mem_cap", "h", "w", "tile_size"}
+_INT_FIELDS = {"seed", "c", "n_heads", "mem_cap", "h", "w", "tile_size"}
 _STR_FIELDS = {"blend_order"}
 
 

@@ -86,11 +86,6 @@ def mat3_det(a: Array) -> float:
     )
 
 
-def mat3_trace(a: Array) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    return float(a[0, 0] + a[1, 1] + a[2, 2])
-
-
 def mat3_inverse(a: Array) -> Array:
     """Closed-form 3x3 inverse via the adjugate.
 

@@ -57,7 +57,8 @@ class RadarPoint:
 
 
 class PointCloud:
-    """Ordered, immutable collection of radar points with uniform ``c_raw``."""
+    """Ordered, immutable collection of radar points with uniform ``c_raw``
+    and finite values."""
 
     __slots__ = ("positions", "features")
 
@@ -73,6 +74,8 @@ class PointCloud:
                 "positions and features disagree on point count: "
                 f"{positions.shape[0]} vs {features.shape[0]}"
             )
+        if not (np.isfinite(positions).all() and np.isfinite(features).all()):
+            raise InvalidSpec("point positions and features must be finite")
         positions.setflags(write=False)
         features.setflags(write=False)
         self.positions = positions

@@ -130,15 +130,6 @@ def _check_raster_oracle() -> None:
     assert diff <= 1e-4, f"tiled rasterizer deviates from oracle by {diff:.3g}"
 
 
-def _check_raster_threads() -> None:
-    bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)
-    splats = _random_splats(seed=9, count=120, bev=bev)
-    settings = splat.RasterSettings()
-    one = splat.rasterize(splats, bev, channels=3, settings=settings, threads=1)
-    four = splat.rasterize(splats, bev, channels=3, settings=settings, threads=4)
-    assert one == four, "rasterizer output depends on thread count"
-
-
 def _random_splats(*, seed: int, count: int, bev: BevRange) -> list:
     gen = rng.SplitMix64(rng.stream_seed(seed, "splats"))
     splats = []
@@ -279,7 +270,6 @@ CHECKS = (
     ("gfa-equivariance", _check_gfa_equivariance),
     ("predicted-attributes", _check_predicted_attributes),
     ("raster-oracle", _check_raster_oracle),
-    ("raster-threads", _check_raster_threads),
     ("blend-analytic", _check_blend_analytic),
     ("density-vs-pillar", _check_density_vs_pillar),
     ("kl-exact", _check_kl_exact),

@@ -32,9 +32,10 @@ the disc radius is ``sqrt(max_eigenvalue(cov2d))`` times
 ``max(3, sqrt(2 ln(opacity / alpha_min)))``, which makes the binning
 lossless: any pixel outside the disc fails the ``alpha_min`` test, so
 the tiled result matches the per-pixel brute force
-(:func:`rasterize_oracle`) except for 32- vs 64-bit rounding.  Tiles
-never share output pixels, so tile-parallel runs are bit-identical for
-every thread count.
+(:func:`rasterize_oracle`) except for 32- vs 64-bit rounding.  A splat
+whose disc lies wholly off the map is binned nowhere.  Tiles never share
+output pixels and are blended one after another in a single fixed
+schedule, so the output is bit-identical across runs.
 
 Feature-map files use the ``RGFM`` format: magic, u32 version (=1),
 u32 C, u32 H, u32 W, the four range extents as little-endian float64,
@@ -46,9 +47,7 @@ within a channel.  A single channel can also be exported as a binary
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +144,6 @@ class TileGrid:
     n_tiles_y: int
     tiles: tuple
 
-    def tile(self, ty: int, tx: int) -> list:
-        return self.tiles[ty * self.n_tiles_x + tx]
-
 
 def project_to_bev(
     g: GaussianPrimitive3D,
@@ -207,7 +203,10 @@ def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings
     """Bin blend-sorted splats into every tile their coverage disc touches.
 
     Splats whose opacity already sits below ``alpha_min`` can never pass
-    the skip test and are binned nowhere.
+    the skip test, and splats whose disc lies wholly off the map cover no
+    pixel; both are binned nowhere.  The off-map test comes before any
+    conversion to ``int``, so huge or infinite means are culled, not
+    overflowed.
     """
     ts = settings.tile_size
     ntx = (bev.w + ts - 1) // ts
@@ -218,6 +217,8 @@ def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings
             continue
         radius = _coverage_radius(s, settings.alpha_min)
         mx, my = s.mean2d
+        if mx + radius < 0 or my + radius < 0 or mx - radius >= bev.w or my - radius >= bev.h:
+            continue
         tx0 = max(int(math.floor((mx - radius) / ts)), 0)
         tx1 = min(int(math.floor((mx + radius) / ts)), ntx - 1)
         ty0 = max(int(math.floor((my - radius) / ts)), 0)
@@ -226,13 +227,6 @@ def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings
             for tx in range(tx0, tx1 + 1):
                 tiles[ty * ntx + tx].append(i)
     return TileGrid(tile_size=ts, n_tiles_x=ntx, n_tiles_y=nty, tiles=tuple(tiles))
-
-
-def resolve_threads(threads: int) -> int:
-    """Map the thread knob to a worker count (<= 0 means all cores)."""
-    if threads > 0:
-        return threads
-    return os.cpu_count() or 1
 
 
 def _check_splats(splats: list, channels) -> int:
@@ -258,8 +252,7 @@ def rasterize(
 ) -> BevFeatureMap:
     """Tile-based alpha-blended rasterization (float32 accumulation).
 
-    Deterministic for fixed inputs regardless of ``threads``: tiles are
-    independent and never share output pixels.
+    Tiles are blended one after another; ``threads`` is accepted and ignored.
     """
     settings = settings or RasterSettings()
     channels = _check_splats(splats, channels)
@@ -275,10 +268,9 @@ def rasterize(
     feats32 = np.array([s.features for s in order], dtype=np.float32)
     ts = settings.tile_size
 
-    def blend_tile(tile_index: int) -> None:
-        idxs = grid.tiles[tile_index]
+    for tile_index, idxs in enumerate(grid.tiles):
         if not idxs:
-            return
+            continue
         ty, tx = divmod(tile_index, grid.n_tiles_x)
         r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
         c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
@@ -311,15 +303,6 @@ def rasterize(
             if not alive.any():
                 break
         out[:, r0:r1, c0:c1] = acc
-
-    n_tiles = grid.n_tiles_x * grid.n_tiles_y
-    workers = resolve_threads(threads)
-    if workers == 1:
-        for tile_index in range(n_tiles):
-            blend_tile(tile_index)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(blend_tile, range(n_tiles)))
     return BevFeatureMap(out, bev)
 
 
@@ -360,7 +343,7 @@ def encode(
     threads: int = 1,
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
-    projection, and tiled rasterization."""
+    projection, and tiled rasterization; ``threads`` is accepted and ignored."""
     settings = settings or RasterSettings()
     f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
     f_gfa = gfa(cloud, params.attn)
@@ -368,7 +351,7 @@ def encode(
     splats = [
         project_to_bev(g, bev, settings.lambda_blur, i) for i, g in enumerate(prims)
     ]
-    return rasterize(splats, bev, params.feature_dim, settings, threads)
+    return rasterize(splats, bev, params.feature_dim, settings)
 
 
 def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:

@@ -343,6 +343,8 @@ def test_init_weights_validation():
         init_weights(0, c_raw=4, c=0)
     with pytest.raises(InvalidSpec):
         init_weights(0, c_raw=4, c=8, n_heads=3)
+    with pytest.raises(InvalidSpec, match="c_raw"):
+        init_weights(0, c_raw=0, c=8)  # zero fan-in of the attention input
 
 
 def test_weights_roundtrip(tmp_path):

@@ -84,27 +84,51 @@ def test_encode_writes_map_and_pgm(tmp_path, small_cloud, capsys):
     assert pgm.read_bytes().startswith(b"P5\n64 64\n255\n")
 
 
-def test_encode_deterministic_across_runs_and_threads(tmp_path, small_cloud):
+def test_encode_deterministic_across_runs(tmp_path, small_cloud):
     outs = [tmp_path / f"m{i}.rgfm" for i in range(3)]
     shrink = ["--set", "c=16", "--set", "h=64", "--set", "w=64"]
-    assert main(["encode", "--cloud", str(small_cloud), "--out", str(outs[0]),
-                 "--threads", "1", *shrink]) == 0
-    assert main(["encode", "--cloud", str(small_cloud), "--out", str(outs[1]),
-                 "--threads", "1", *shrink]) == 0
-    assert main(["encode", "--cloud", str(small_cloud), "--out", str(outs[2]),
-                 "--threads", "8", *shrink]) == 0
+    for out in outs:
+        assert main(["encode", "--cloud", str(small_cloud), "--out", str(out),
+                     *shrink]) == 0
     blobs = [p.read_bytes() for p in outs]
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_encode_threads_env_fallback(tmp_path, small_cloud, monkeypatch, capsys):
-    monkeypatch.setenv("RGK_THREADS", "2")
+def test_encode_has_no_threads_option(tmp_path, small_cloud, capsys):
+    assert main(["encode", "--cloud", str(small_cloud), "--out",
+                 str(tmp_path / "m.rgfm"), "--threads", "2"]) == 1
     assert main(["encode", "--cloud", str(small_cloud), "--out",
                  str(tmp_path / "m.rgfm"), "--dump-config"]) == 0
-    assert "threads = 2" in capsys.readouterr().out
-    monkeypatch.setenv("RGK_THREADS", "nope")
-    assert main(["encode", "--cloud", str(small_cloud), "--out",
-                 str(tmp_path / "m2.rgfm")]) == 2
+    assert "threads" not in capsys.readouterr().out
+
+
+def _write_csv_cloud(path, rows, c_raw=1):
+    path.write_text(f"# c_raw={c_raw}\n" + "".join(f"{row}\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("bad", ["nan,0,0,1", "inf,0,0,1", "0,-inf,0,1", "0,0,0,nan"])
+def test_encode_non_finite_row_exits_2(tmp_path, capsys, bad):
+    cloud = _write_csv_cloud(tmp_path / "bad.csv", ["1,1,0,1", bad])
+    assert main(["encode", "--cloud", str(cloud), "--out", str(tmp_path / "m.rgfm"),
+                 "--set", "c=8", "--set", "h=32", "--set", "w=32"]) == 2
+    assert "error: InvalidSpec" in capsys.readouterr().err
+
+
+def test_encode_huge_coordinate_is_culled(tmp_path):
+    # at 6.25 px per meter the far point projects to an infinite pixel position
+    cloud = _write_csv_cloud(tmp_path / "far.csv", ["1,1,0,1", "1e308,0,0,1"])
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(cloud), "--out", str(out), "--set", "c=8"]) == 0
+    assert np.all(np.isfinite(read_feature_map(out).data))
+
+
+def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "c0.csv"
+    assert main(["generate", "--out", str(cloud), "--n", "20", "--c-raw", "0"]) == 0
+    assert main(["encode", "--cloud", str(cloud), "--out", str(tmp_path / "m.rgfm"),
+                 "--set", "c=8", "--set", "h=32", "--set", "w=32"]) == 2
+    assert "c_raw" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

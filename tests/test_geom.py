@@ -12,7 +12,6 @@ from rgkit.geom import (
     mat2_inverse,
     mat3_det,
     mat3_inverse,
-    mat3_trace,
     quat_normalize,
     quat_to_rotmat,
     rotmat_z,
@@ -94,7 +93,6 @@ def test_mat3_det_trace_inverse_against_numpy():
     for _ in range(50):
         a = gen.normals(9).reshape(3, 3) + 2.0 * np.eye(3)
         assert abs(mat3_det(a) - np.linalg.det(a)) < 1e-10 * max(1.0, abs(mat3_det(a)))
-        assert mat3_trace(a) == float(a[0, 0] + a[1, 1] + a[2, 2])
         inv = mat3_inverse(a)
         assert np.allclose(inv @ a, np.eye(3), atol=1e-10)
 

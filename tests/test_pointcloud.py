@@ -25,6 +25,18 @@ def test_cloud_shape_validation():
         PointCloud(np.zeros((4, 3)), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cloud_rejects_non_finite_values(bad):
+    pos = np.zeros((2, 3))
+    pos[1, 0] = bad
+    with pytest.raises(InvalidSpec):
+        PointCloud(pos, np.zeros((2, 1)))
+    feats = np.zeros((2, 1))
+    feats[0, 0] = bad
+    with pytest.raises(InvalidSpec):
+        PointCloud(np.zeros((2, 3)), feats)
+
+
 def test_cloud_is_immutable_and_copies_input():
     pos = np.ones((2, 3))
     cloud = PointCloud(pos, np.zeros((2, 1)))

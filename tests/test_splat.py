@@ -19,6 +19,7 @@ from rgkit.rng import SplitMix64, stream_seed
 from rgkit.splat import (
     BevFeatureMap,
     RasterSettings,
+    build_tile_grid,
     encode,
     nonzero_pixels,
     pillar_scatter,
@@ -201,12 +202,15 @@ def test_tiled_matches_oracle(seed):
     assert diff <= 1e-4
 
 
-def test_threads_bit_identical_and_auto():
-    bev = BevRange(0.0, 20.0, -10.0, 10.0, 64, 64)
-    splats = _random_splats(63, 200, bev)
-    ref = rasterize(splats, bev, channels=3, threads=1)
-    for threads in (2, 8, 0):
-        assert rasterize(splats, bev, channels=3, threads=threads) == ref
+def test_off_map_splats_land_in_no_tile():
+    bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)  # 4 px per meter, 4 x 4 tiles
+    means = ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [5.0, 1e308, 0.0],
+             [-3.0, 0.0, 0.0], [5.0, 12.0, 0.0])
+    splats = [project_to_bev(_prim(m), bev, 0.3, i) for i, m in enumerate(means)]
+    assert not any(build_tile_grid(splats, bev, RasterSettings()).tiles)
+    assert nonzero_pixels(rasterize(splats, bev, channels=1)) == 0
+    near = [project_to_bev(_prim([5.0, 0.0, 0.0]), bev, 0.3)]
+    assert any(build_tile_grid(near, bev, RasterSettings()).tiles)
 
 
 def test_rasterize_empty_and_mismatched():
