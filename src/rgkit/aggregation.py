@@ -216,14 +216,16 @@ def _sq_dists(a: Array, b: Array) -> Array:
 
 def _sq_dists_into(a: Array, b: Array, d2: Array, t: Array) -> Array:
     """Same computation as :func:`_sq_dists` into caller-owned scratch."""
-    np.subtract(a[:, 0][:, None], b[:, 0][None, :], out=d2)
-    np.multiply(d2, d2, out=d2)
-    np.subtract(a[:, 1][:, None], b[:, 1][None, :], out=t)
-    np.multiply(t, t, out=t)
-    d2 += t
-    np.subtract(a[:, 2][:, None], b[:, 2][None, :], out=t)
-    np.multiply(t, t, out=t)
-    d2 += t
+    # huge finite coordinates overflow to inf, which just means "not a neighbour"
+    with np.errstate(over="ignore"):
+        np.subtract(a[:, 0][:, None], b[:, 0][None, :], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(a[:, 1][:, None], b[:, 1][None, :], out=t)
+        np.multiply(t, t, out=t)
+        d2 += t
+        np.subtract(a[:, 2][:, None], b[:, 2][None, :], out=t)
+        np.multiply(t, t, out=t)
+        d2 += t
     return d2
 
 

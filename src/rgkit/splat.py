@@ -23,19 +23,23 @@ broken by source index).  At each pixel::
     alpha_i = clamp(o_i * exp(-0.5 * d^T cov2d_inv d), 0, alpha_max)
 
 splats with ``alpha < alpha_min`` are skipped, the rest accumulate
-``F[p] += f_i * alpha_i * T`` with transmittance ``T *= (1 - alpha_i)``;
-once ``T`` would drop below ``t_min`` the offending splat is not
-accumulated and the pixel stops early (``t_min <= 0`` disables this).
+``F[p] += f_i * alpha_i * T_i``, ``T_i`` being the product of ``1 - alpha``
+over the splats used before ``i``; once ``T`` would drop below ``t_min``
+the pixel stops early, without that splat (``t_min <= 0`` disables this).
 
-The tiled path bins each splat to every tile its coverage disc touches;
-the disc radius is ``sqrt(max_eigenvalue(cov2d))`` times
-``max(3, sqrt(2 ln(opacity / alpha_min)))``, which makes the binning
-lossless: any pixel outside the disc fails the ``alpha_min`` test, so
-the tiled result matches the per-pixel brute force
-(:func:`rasterize_oracle`) except for 32- vs 64-bit rounding.  A splat
-whose disc lies wholly off the map is binned nowhere.  Tiles never share
-output pixels and are blended one after another in a single fixed
-schedule, so the output is bit-identical across runs.
+Splats are binned to every tile their coverage disc touches; the radius
+``sqrt(max_eigenvalue(cov2d)) * max(3, sqrt(2 ln(opacity / alpha_min)))``
+makes binning lossless (any pixel outside the disc fails ``alpha_min``),
+so tiles match the brute force (:func:`rasterize_oracle`) up to 32- vs
+64-bit rounding.  A disc wholly off the map is binned nowhere.  Each tile
+is composited front to back with whole-tile array operations, as in 3D
+Gaussian Splatting (Kerbl et al., 2023): a (K splats, P pixels) float64
+alpha block, a float32 ``cumprod`` of ``1 - alpha`` for T, the early stop
+as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
+over K.  NumPy's einsum adds the K terms in order in float32 without
+BLAS, so unlike a matmul the map does not depend on BLAS threading.
+Tiles share no pixels and run one after another: maps are bit-identical
+across runs.
 
 Feature-map files use the ``RGFM`` format: magic, u32 version (=1),
 u32 C, u32 H, u32 W, the four range extents as little-endian float64,
@@ -154,7 +158,9 @@ def project_to_bev(
     """Project one 3D Gaussian onto the BEV pixel plane."""
     sx = bev.px_per_m_x
     sy = bev.px_per_m_y
-    mean2d = np.array([(g.mean[0] - bev.x_min) * sx, (g.mean[1] - bev.y_min) * sy])
+    # a huge finite mean may overflow to inf; binning culls it as off-map
+    with np.errstate(over="ignore"):
+        mean2d = np.array([(g.mean[0] - bev.x_min) * sx, (g.mean[1] - bev.y_min) * sy])
     rot = quat_to_rotmat(quat_normalize(g.quat))
     sigma = covariance_from_scale_rot(g.scales, rot)
     m = np.array([[sx, 0.0, 0.0], [0.0, sy, 0.0]])
@@ -250,9 +256,11 @@ def rasterize(
     settings: RasterSettings | None = None,
     threads: int = 1,
 ) -> BevFeatureMap:
-    """Tile-based alpha-blended rasterization (float32 accumulation).
-
-    Tiles are blended one after another; ``threads`` is accepted and ignored.
+    """Tile-based alpha-blended rasterization (float32 accumulation): per
+    tile a (K, P) alpha block, a ``cumprod`` transmittance masked at
+    ``t_min`` and a fixed-order ``einsum`` over the K splats, not a BLAS
+    matmul, whose sum order follows its thread count.  Tiles are blended
+    one after another; ``threads`` is accepted and ignored.
     """
     settings = settings or RasterSettings()
     channels = _check_splats(splats, channels)
@@ -271,38 +279,27 @@ def rasterize(
     for tile_index, idxs in enumerate(grid.tiles):
         if not idxs:
             continue
+        idx = np.array(idxs)
         ty, tx = divmod(tile_index, grid.n_tiles_x)
         r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
         c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
-        px = np.arange(c0, c1) + 0.5
-        py = np.arange(r0, r1) + 0.5
-        xg = px[None, :]
-        yg = py[:, None]
-        shape = (r1 - r0, c1 - c0)
-        transmit = np.ones(shape, dtype=np.float32)
-        alive = np.ones(shape, dtype=bool)
-        acc = np.zeros((channels,) + shape, dtype=np.float32)
-        for s in idxs:
-            dx = xg - means[s, 0]
-            dy = yg - means[s, 1]
-            ia, ib, ic = invs[s]
-            q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
-            alpha = np.minimum(opac[s] * np.exp(-0.5 * q), settings.alpha_max)
-            use = alive & (alpha >= settings.alpha_min)
-            if not use.any():
-                continue
-            alpha32 = alpha.astype(np.float32)
-            test_t = transmit * (np.float32(1.0) - alpha32)
-            if settings.t_min > 0:
-                stopped = use & (test_t < settings.t_min)
-                use &= ~stopped
-                alive &= ~stopped
-            weight = np.where(use, alpha32 * transmit, np.float32(0.0))
-            acc += feats32[s][:, None, None] * weight
-            transmit = np.where(use, test_t, transmit)
-            if not alive.any():
-                break
-        out[:, r0:r1, c0:c1] = acc
+        # (K, P): one row per binned splat, one column per pixel (row-major)
+        px = np.tile(np.arange(c0, c1) + 0.5, r1 - r0)
+        py = np.repeat(np.arange(r0, r1) + 0.5, c1 - c0)
+        dx = px - means[idx, 0:1]
+        dy = py - means[idx, 1:2]
+        ia, ib, ic = invs[idx].T[:, :, None]
+        q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
+        alpha = np.minimum(opac[idx, None] * np.exp(-0.5 * q), settings.alpha_max)
+        use = alpha >= settings.alpha_min
+        alpha32 = np.where(use, alpha, 0.0).astype(np.float32)
+        t_after = np.cumprod(np.float32(1.0) - alpha32, axis=0)
+        if settings.t_min > 0:
+            use &= t_after >= settings.t_min
+        t_before = np.vstack([np.ones_like(t_after[:1]), t_after[:-1]])
+        weight = np.where(use, alpha32 * t_before, np.float32(0.0))
+        acc = np.einsum("kc,kp->cp", feats32[idx], weight)
+        out[:, r0:r1, c0:c1] = acc.reshape(channels, r1 - r0, c1 - c0)
     return BevFeatureMap(out, bev)
 
 

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, configuration precedence, output
 determinism, and the config dump round trip."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rgkit
 from rgkit.boxloss import Box3D, write_boxes
 from rgkit.cli import main
 from rgkit.config import RunConfig, apply_updates, dump_config, parse_config_text
@@ -92,6 +98,24 @@ def test_encode_deterministic_across_runs(tmp_path, small_cloud):
                      *shrink]) == 0
     blobs = [p.read_bytes() for p in outs]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_encode_bytes_independent_of_blas_threads(tmp_path):
+    # one tight cluster puts hundreds of splats into one tile; blending them
+    # with a BLAS matmul gives different bytes under one and two BLAS threads
+    cloud = tmp_path / "dense.rgpc"
+    assert main(["generate", "--out", str(cloud), "--n", "500", "--seed", "11",
+                 "--clusters", "1", "--sigma", "0.3", "--binary"]) == 0
+    src = str(Path(rgkit.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.rgfm"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "rgkit.cli", "encode", "--cloud", str(cloud),
+                        "--out", str(out), "--set", "c=16", "--set", "h=64", "--set", "w=64"],
+                       env=env, check=True, capture_output=True)
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_encode_has_no_threads_option(tmp_path, small_cloud, capsys):

@@ -121,9 +121,10 @@ def test_sort_splats_orders_and_ties():
 # Analytic blending values
 
 
-def _center_splat(feature=2.0, opacity=1.0):
-    """One splat whose mean sits exactly on the center of pixel (8, 8)."""
-    prim = _prim([8.5, 0.5, 0.0], opacity=opacity, features=(feature,))
+def _center_splat(feature=2.0, opacity=1.0, px_right=0.0):
+    """One splat whose mean sits exactly on the center of pixel (8, 8), or
+    ``px_right`` pixels to the right of it."""
+    prim = _prim([8.5 + px_right, 0.5, 0.0], opacity=opacity, features=(feature,))
     return project_to_bev(prim, SMALL, lambda_blur=0.0)
 
 
@@ -173,6 +174,60 @@ def test_opacity_below_alpha_min_contributes_nothing():
     fmap = rasterize([_center_splat(opacity=1.0 / 500.0)], SMALL, channels=1,
                      settings=RasterSettings(t_min=0.0, lambda_blur=0.0))
     assert np.count_nonzero(fmap.data) == 0
+
+
+def test_skipped_splat_between_used_ones_leaves_t_unchanged():
+    # the middle splat sits 2 px away: alpha = exp(-8) ~ 3.4e-4 < alpha_min
+    # at pixel (8, 8), so the last splat still sees T = 0.5 exactly
+    splats = [_center_splat(2.0, 0.5), _center_splat(100.0, px_right=2.0),
+              _center_splat(4.0, 0.5)]
+    settings = RasterSettings(t_min=0.0, lambda_blur=0.0, blend_order="index")
+    fmap = rasterize(splats, SMALL, channels=1, settings=settings)
+    assert float(fmap.data[0, 8, 8]) == 2.0 * 0.5 + 4.0 * 0.5 * 0.5
+    assert float(fmap.data[0, 8, 10]) > 50.0  # the middle splat is used at its own center
+
+
+def test_no_splat_reaches_a_pixel_after_its_early_stop():
+    # the second splat would take T to ~1e-4 < t_min: the pixel stops there,
+    # and neither a weak nor an alpha_max later splat lands on it
+    splats = [_center_splat(2.0), _center_splat(1000.0), _center_splat(1000.0, 0.5),
+              _center_splat(1000.0)]
+    settings = RasterSettings(t_min=1e-4, lambda_blur=0.0, blend_order="index")
+    fmap = rasterize(splats, SMALL, channels=1, settings=settings)
+    assert fmap.data[0, 8, 8] == np.float32(2.0) * np.float32(0.99)
+    # one pixel over, alpha = 0.99 * exp(-2) never stops the pixel
+    assert float(fmap.data[0, 8, 9]) > 1000.0 * 0.1
+
+
+def test_narrow_edge_tiles_match_oracle():
+    # 40 x 37 pixels in 16 px tiles: the last tile column is 8 px wide and
+    # the last tile row 5 px tall
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    splats = _random_splats(64, 80, bev)
+    settings = RasterSettings(t_min=0.0)
+    tiled = rasterize(splats, bev, channels=3, settings=settings)
+    oracle = rasterize_oracle(splats, bev, channels=3, settings=settings)
+    assert np.count_nonzero(tiled.data[:, 32:, :]) > 0
+    assert np.count_nonzero(tiled.data[:, :, 32:]) > 0
+    diff = np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64)))
+    assert diff <= 1e-4
+
+
+def test_deep_tile_stack_matches_oracle():
+    gen = SplitMix64(stream_seed(65, "stack"))
+    splats = [
+        project_to_bev(_prim([6.0 + 4.0 * gen.next_f64(), -2.0 + 4.0 * gen.next_f64(),
+                              gen.next_f64()],
+                             opacity=0.05 + 0.25 * gen.next_f64(),
+                             features=gen.normals(2)), SMALL, 0.3, i)
+        for i in range(320)
+    ]
+    settings = RasterSettings(t_min=0.0)
+    assert max(len(t) for t in build_tile_grid(sort_splats(splats), SMALL, settings).tiles) >= 300
+    tiled = rasterize(splats, SMALL, channels=2, settings=settings)
+    oracle = rasterize_oracle(splats, SMALL, channels=2, settings=settings)
+    diff = np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64)))
+    assert diff <= 1e-4
 
 
 def test_blend_order_changes_occlusion():
