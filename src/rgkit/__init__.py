@@ -38,7 +38,6 @@ from .boxloss import (
     bgl,
     bgl_gradient,
     box_to_gaussian,
-    combined_reg_loss,
     fd_gradient,
     kl_divergence,
     read_boxes,
@@ -70,7 +69,6 @@ from .errors import (
 from .pointcloud import (
     BevRange,
     PointCloud,
-    RadarPoint,
     SceneSpec,
     generate_scene,
     read_cloud,
@@ -120,7 +118,6 @@ __all__ = [
     "PRESETS",
     "PgeParams",
     "PointCloud",
-    "RadarPoint",
     "RasterSettings",
     "RgkError",
     "RunConfig",
@@ -136,7 +133,6 @@ __all__ = [
     "bgl_gradient",
     "box_to_gaussian",
     "build_neighbor_index",
-    "combined_reg_loss",
     "dump_config",
     "encode",
     "fd_gradient",

@@ -320,8 +320,12 @@ def lfa_broadcast_mask(
     mask = _sq_dists(pos, pos) < r * r
     pair = np.empty((n, n, k + 3))
     pair[:, :, :k] = cloud.features[None, :, :]
-    pair[:, :, k:] = pos[:, None, :] - pos[None, :, :]
-    pair *= mask[:, :, None]
+    # offsets between huge finite coordinates overflow to inf; those pairs
+    # are never neighbours, and zeroing them (not multiplying by the mask)
+    # keeps inf * 0 = NaN out of the row sums
+    with np.errstate(over="ignore"):
+        pair[:, :, k:] = pos[:, None, :] - pos[None, :, :]
+    pair[~mask] = 0.0
     counts = mask.sum(axis=1)
     return layer.apply(pair.sum(axis=1) / counts[:, None])
 
@@ -500,14 +504,6 @@ class PgeParams:
     s_min: float = SCALE_FLOOR
 
     @property
-    def dim(self) -> int:
-        return self.lfa.out_dim
-
-    @property
-    def c_raw(self) -> int:
-        return self.lfa.in_dim - 3
-
-    @property
     def feature_dim(self) -> int:
         """Channel count of the rendered feature map."""
         return self.head.out_dim - 7
@@ -529,7 +525,6 @@ def init_weights(
     n_heads: int = 1,
     r: float = DEFAULT_RADIUS,
     s_min: float = SCALE_FLOOR,
-    lfa_bias: bool = True,
 ) -> PgeParams:
     """Deterministic parameter set: every tensor gets its own named stream,
     so any one tensor is reproducible without drawing the others."""
@@ -538,9 +533,9 @@ def init_weights(
     if n_heads < 1 or c % n_heads:
         raise InvalidSpec(f"head count {n_heads} must divide dim {c}")
 
-    def lin(name: str, out_dim: int, in_dim: int, bias: bool = True) -> LinearLayer:
+    def lin(name: str, out_dim: int, in_dim: int) -> LinearLayer:
         w = _seeded_uniform(seed, f"{name}.weight", (out_dim, in_dim), in_dim)
-        b = _seeded_uniform(seed, f"{name}.bias", (out_dim,), in_dim) if bias else None
+        b = _seeded_uniform(seed, f"{name}.bias", (out_dim,), in_dim)
         return LinearLayer(w, b)
 
     attn = AttentionBlock(
@@ -554,7 +549,7 @@ def init_weights(
         n_heads=n_heads,
     )
     return PgeParams(
-        lfa=lin("lfa", c, c_raw + 3, bias=lfa_bias),
+        lfa=lin("lfa", c, c_raw + 3),
         attn=attn,
         head=lin("head", 7 + c, c_raw + 2 * c),
         r=r,

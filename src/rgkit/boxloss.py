@@ -105,19 +105,16 @@ class KlComponents:
 
 @dataclass(frozen=True)
 class BglConfig:
-    """Loss configuration: per-class ``a``, fallback ``a``, and the weight
-    ``lam`` used when combining with a base regression loss."""
+    """Loss configuration: the sharpness ``a`` per class and the fallback
+    ``a`` for unlisted or unlabelled boxes."""
 
     a_per_class: dict
     a_default: float = 1.0
-    lam: float = 1.0
 
     def __post_init__(self) -> None:
         bad = {k: v for k, v in self.a_per_class.items() if not v > 0}
         if bad or not self.a_default > 0:
             raise InvalidSpec(f"every a must be > 0, got {bad or self.a_default}")
-        if self.lam < 0:
-            raise InvalidSpec(f"loss weight must be >= 0, got {self.lam}")
 
     def a_for(self, cls: Optional[str]) -> float:
         if cls is None:
@@ -261,11 +258,6 @@ def fd_gradient(pred: Box3D, gt: Box3D, a: float, step: float = 1e-5) -> Array:
         f_lo = kl_divergence(box_to_gaussian(Box3D(*lo), a), target).total
         grad[k] = (f_hi - f_lo) / (2.0 * step)
     return grad
-
-
-def combined_reg_loss(l_ori: float, l_bgl: float, lam: float) -> float:
-    """Weighted sum with the base regression loss: ``l_ori + lam * l_bgl``."""
-    return l_ori + lam * l_bgl
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ the two dataset presets.
 
 Config files are UTF-8 text with ``key = value`` lines; blank lines and
 ``#`` comments are ignored; later duplicates override earlier ones.
-Unknown keys are rejected except the ``a_<class>`` family, which fills
-the per-class sharpness map of the box loss.  ``dump_config`` emits every
-key in canonical order with full-precision (``repr``) numbers so an
-accepted configuration round-trips bit-exactly.
+The keys are the scalar field names of :class:`RunConfig`, each parsed
+with its field's type, plus the ``a_<class>`` family (floats), which
+fills the per-class sharpness map of the box loss; other keys are
+rejected.  ``dump_config`` emits every key in canonical order with
+full-precision (``repr``) numbers so an accepted configuration
+round-trips bit-exactly.
 
 Presets bundle the BEV extents and resolutions of the two evaluation
 settings: ``vod`` (51.2 m x 51.2 m at 320 x 320) and ``tj4d``
@@ -16,12 +18,13 @@ settings: ``vod`` (51.2 m x 51.2 m at 320 x 320) and ``tj4d``
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 
-from .aggregation import DEFAULT_MEM_CAP
+from .aggregation import DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR
 from .boxloss import DEFAULT_A_PER_CLASS, BglConfig
 from .errors import FormatError, InvalidSpec
-from .pointcloud import BevRange
+from .pointcloud import DEFAULT_RANGE, BevRange, SceneSpec
 from .splat import RasterSettings
 
 
@@ -30,27 +33,26 @@ class RunConfig:
     """Every tunable of the toolkit with its default."""
 
     seed: int = 0
-    r: float = 0.32
-    c: int = 64
+    r: float = DEFAULT_RADIUS
+    c: int = DEFAULT_DIM
     n_heads: int = 1
-    s_min: float = 1e-3
+    s_min: float = SCALE_FLOOR
     mem_cap: int = DEFAULT_MEM_CAP
-    x_min: float = 0.0
-    x_max: float = 51.2
-    y_min: float = -25.6
-    y_max: float = 25.6
-    h: int = 320
-    w: int = 320
-    z_min: float = -3.0
-    z_max: float = 2.0
-    alpha_max: float = 0.99
-    alpha_min: float = 1.0 / 255.0
-    t_min: float = 1e-4
-    lambda_blur: float = 0.3
-    tile_size: int = 16
-    blend_order: str = "z-asc"
-    lam: float = 1.0
-    a_default: float = 1.0
+    x_min: float = DEFAULT_RANGE.x_min
+    x_max: float = DEFAULT_RANGE.x_max
+    y_min: float = DEFAULT_RANGE.y_min
+    y_max: float = DEFAULT_RANGE.y_max
+    h: int = DEFAULT_RANGE.h
+    w: int = DEFAULT_RANGE.w
+    z_min: float = SceneSpec.z_min
+    z_max: float = SceneSpec.z_max
+    alpha_max: float = RasterSettings.alpha_max
+    alpha_min: float = RasterSettings.alpha_min
+    t_min: float = RasterSettings.t_min
+    lambda_blur: float = RasterSettings.lambda_blur
+    tile_size: int = RasterSettings.tile_size
+    blend_order: str = RasterSettings.blend_order
+    a_default: float = BglConfig.a_default
     a_per_class: dict = field(default_factory=lambda: dict(DEFAULT_A_PER_CLASS))
 
     def bev(self) -> BevRange:
@@ -67,9 +69,7 @@ class RunConfig:
         )
 
     def bgl_config(self) -> BglConfig:
-        return BglConfig(
-            a_per_class=dict(self.a_per_class), a_default=self.a_default, lam=self.lam
-        )
+        return BglConfig(a_per_class=dict(self.a_per_class), a_default=self.a_default)
 
     def validate(self) -> "RunConfig":
         """Range-check scalars and construct every sub-config once."""
@@ -94,8 +94,7 @@ class RunConfig:
 #: BEV extent + resolution bundles for the two evaluation settings.
 PRESETS = {
     "vod": dict(
-        x_min=0.0, x_max=51.2, y_min=-25.6, y_max=25.6, h=320, w=320,
-        z_min=-3.0, z_max=2.0,
+        dataclasses.asdict(DEFAULT_RANGE), z_min=SceneSpec.z_min, z_max=SceneSpec.z_max
     ),
     "tj4d": dict(
         x_min=0.0, x_max=69.12, y_min=-39.68, y_max=39.68, h=432, w=496,
@@ -103,14 +102,11 @@ PRESETS = {
     ),
 }
 
-# Config keys are field names except ``lambda`` (the field is ``lam``;
-# ``lambda`` is a Python keyword) and the expanded ``a_<class>`` family.
-_KEY_TO_FIELD = {
-    **{f.name: f.name for f in dataclasses.fields(RunConfig) if f.name not in ("lam", "a_per_class")},
-    "lambda": "lam",
+#: Scalar config keys in canonical order, each with its field's type,
+#: which also parses its value; ``a_per_class`` is set by ``a_<class>`` keys.
+_KEY_TYPES = {
+    name: kind for name, kind in typing.get_type_hints(RunConfig).items() if kind is not dict
 }
-_INT_FIELDS = {"seed", "c", "n_heads", "mem_cap", "h", "w", "tile_size"}
-_STR_FIELDS = {"blend_order"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -127,13 +123,9 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _coerce(key: str, field_name: str, value: str):
+def _coerce(key: str, kind: type, value: str):
     try:
-        if field_name in _INT_FIELDS:
-            return int(value)
-        if field_name in _STR_FIELDS:
-            return value
-        return float(value)
+        return kind(value)
     except ValueError:
         raise InvalidSpec(f"config key {key!r}: bad value {value!r}") from None
 
@@ -143,11 +135,10 @@ def apply_updates(cfg: RunConfig, raw: dict) -> RunConfig:
     updates = {}
     per_class = dict(cfg.a_per_class)
     for key, value in raw.items():
-        if key in _KEY_TO_FIELD:
-            name = _KEY_TO_FIELD[key]
-            updates[name] = _coerce(key, name, value)
+        if key in _KEY_TYPES:
+            updates[key] = _coerce(key, _KEY_TYPES[key], value)
         elif key.startswith("a_") and len(key) > 2:
-            per_class[key[2:]] = _coerce(key, key, value)
+            per_class[key[2:]] = _coerce(key, float, value)
         else:
             raise InvalidSpec(f"unknown config key {key!r}")
     return dataclasses.replace(cfg, a_per_class=per_class, **updates)
@@ -172,12 +163,7 @@ def _format_value(v) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical full-precision text form; parsing it back is the identity."""
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "a_per_class":
-            continue
-        key = "lambda" if f.name == "lam" else f.name
-        lines.append(f"{key} = {_format_value(getattr(cfg, f.name))}")
+    lines = [f"{key} = {_format_value(getattr(cfg, key))}" for key in _KEY_TYPES]
     for cls in sorted(cfg.a_per_class):
         lines.append(f"a_{cls} = {_format_value(cfg.a_per_class[cls])}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
 """Radar point-cloud data model, deterministic scene synthesis, and file I/O.
 
 A cloud is stored columnar: an ``(N, 3)`` float64 position block plus an
-``(N, c_raw)`` float64 feature block.  ``RadarPoint`` is a per-point
-convenience view; all numerical kernels consume the arrays directly.
+``(N, c_raw)`` float64 feature block, and every kernel consumes those
+arrays directly.
 Point order is significant — the point index is the deterministic
 tie-break key used by the blending stage downstream.
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,21 +38,6 @@ _MAGIC = b"RGPC"
 _VERSION = 1
 _HEADER = struct.Struct("<III")  # version, point count, channel count
 _CSV_KEY = "# c_raw="
-
-
-@dataclass(frozen=True, eq=False)
-class RadarPoint:
-    """One radar return: 3D position in meters plus raw feature channels."""
-
-    position: Array  # (3,) float64, meters
-    raw_features: Array  # (c_raw,) float64, unitless
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RadarPoint):
-            return NotImplemented
-        return np.array_equal(self.position, other.position) and np.array_equal(
-            self.raw_features, other.raw_features
-        )
 
 
 class PointCloud:
@@ -81,31 +65,12 @@ class PointCloud:
         self.positions = positions
         self.features = features
 
-    @classmethod
-    def from_points(cls, points: Sequence[RadarPoint], c_raw: int = 0) -> "PointCloud":
-        """Build a cloud from per-point records (``c_raw`` used when empty)."""
-        if not points:
-            return cls(np.zeros((0, 3)), np.zeros((0, c_raw)))
-        widths = {len(p.raw_features) for p in points}
-        if len(widths) != 1:
-            raise ShapeMismatch(f"points disagree on channel count: {sorted(widths)}")
-        return cls(
-            np.stack([p.position for p in points]),
-            np.stack([p.raw_features for p in points]),
-        )
-
     @property
     def c_raw(self) -> int:
         return self.features.shape[1]
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def point(self, i: int) -> RadarPoint:
-        return RadarPoint(self.positions[i].copy(), self.features[i].copy())
-
-    def __iter__(self) -> Iterator[RadarPoint]:
-        return (self.point(i) for i in range(len(self)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud):

@@ -236,7 +236,7 @@ def _check_weights_roundtrip() -> None:
 
 
 def _check_config_roundtrip() -> None:
-    cfg = RunConfig(r=1.25, lam=0.75)
+    cfg = RunConfig(r=1.25, a_default=0.75)
     cfg.a_per_class["bus"] = 2.5
     text = dump_config(cfg)
     back = apply_updates(RunConfig(), parse_config_text(text))

@@ -2,6 +2,7 @@
 cross-implementation equivalence, attribute head, weight I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_lfa_rejects_bad_args(fn):
         fn(cloud, layer, -1.0)
     with pytest.raises(ShapeMismatch):
         fn(cloud, init_weights(0, c_raw=5, c=8).lfa, 0.32)
+
+
+@pytest.mark.parametrize("fn", ALL_LFA)
+def test_lfa_huge_coordinates_stay_finite(fn):
+    # offsets between the far rows overflow to inf; they are no neighbours
+    cloud = PointCloud(
+        [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [-1e308, 0.0, 0.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+    )
+    layer = init_weights(4, c_raw=2, c=8).lfa
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reference = lfa_traversal(cloud, layer, 0.32)
+        out = fn(cloud, layer, 0.32)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - reference)) <= 1e-9
 
 
 @pytest.mark.parametrize("r", [0.1, 0.32, 1.0, 5.0])

@@ -13,7 +13,6 @@ from rgkit.boxloss import (
     bgl,
     bgl_gradient,
     box_to_gaussian,
-    combined_reg_loss,
     default_config,
     fd_gradient,
     kl_divergence,
@@ -205,12 +204,7 @@ def test_bgl_validation():
     with pytest.raises(InvalidSpec):
         BglConfig(a_per_class={"car": 0.0})
     with pytest.raises(InvalidSpec):
-        BglConfig(a_per_class={}, lam=-0.5)
-
-
-def test_combined_loss_weighting():
-    assert combined_reg_loss(2.0, 3.0, 0.5) == 3.5
-    assert combined_reg_loss(2.0, 3.0, 0.0) == 2.0
+        BglConfig(a_per_class={}, a_default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, configuration precedence, output
 determinism, and the config dump round trip."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 import rgkit
-from rgkit.boxloss import Box3D, write_boxes
+from rgkit.boxloss import Box3D, default_config, write_boxes
 from rgkit.cli import main
-from rgkit.config import RunConfig, apply_updates, dump_config, parse_config_text
-from rgkit.pointcloud import read_cloud
-from rgkit.splat import read_feature_map
+from rgkit.config import RunConfig, apply_preset, apply_updates, dump_config, parse_config_text
+from rgkit.pointcloud import DEFAULT_RANGE, read_cloud
+from rgkit.splat import RasterSettings, read_feature_map
 
 
 def _write_box_pair(tmp_path):
@@ -161,13 +162,13 @@ def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
 
 def test_dump_config_round_trips(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("r = 0.5\nlambda = 0.25\na_bus = 2.0\n# comment\n")
+    cfg_file.write_text("r = 0.5\na_default = 0.25\na_bus = 2.0\n# comment\n")
     code = main(["generate", "--out", "ignored", "--n", "1", "--config",
                  str(cfg_file), "--set", "seed=9", "--dump-config"])
     assert code == 0
     text = capsys.readouterr().out
     parsed = apply_updates(RunConfig(), parse_config_text(text))
-    assert parsed.r == 0.5 and parsed.lam == 0.25 and parsed.seed == 9
+    assert parsed.r == 0.5 and parsed.a_default == 0.25 and parsed.seed == 9
     assert parsed.a_per_class["bus"] == 2.0
     assert dump_config(parsed) == text  # dump of the parse is bit-identical
 
@@ -189,11 +190,40 @@ def test_precedence_file_then_preset_then_set_then_flag(tmp_path, capsys):
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("bogus = 1\n")
-    assert main(["generate", "--out", "x", "--n", "1", "--config",
-                 str(cfg_file)]) == 2
-    assert "error: InvalidSpec" in capsys.readouterr().err
+    # older dumps carry a ``lambda`` line, which no command read
+    for key in ("bogus", "lambda"):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{key} = 1\n")
+        assert main(["generate", "--out", "x", "--n", "1", "--config",
+                     str(cfg_file)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert main(["generate", "--out", "x", "--n", "1", "--set", f"{key}=1"]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_config_defaults_are_the_owning_definitions():
+    assert RunConfig().raster_settings() == RasterSettings()
+    assert RunConfig().bev() == DEFAULT_RANGE
+    assert RunConfig().bgl_config() == default_config()
+    assert apply_preset(RunConfig(), "vod") == RunConfig()
+
+
+def test_every_dumped_key_round_trips_through_set(capsys):
+    cfg = RunConfig(seed=5, r=0.5, c=32, n_heads=4, mem_cap=2**20, h=100, w=120,
+                    alpha_min=0.01, tile_size=8, blend_order="index", a_default=0.5)
+    cfg.a_per_class["bus"] = 2.5
+    text = dump_config(cfg)
+    sets = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "="))]
+    assert main(["generate", "--out", "x", "--n", "1", *sets, "--dump-config"]) == 0
+    assert capsys.readouterr().out == text
+    parsed = apply_updates(RunConfig(), parse_config_text(text))
+    assert parsed == cfg
+    for f in dataclasses.fields(RunConfig):
+        assert type(getattr(parsed, f.name)) is type(getattr(RunConfig(), f.name)), f.name
+    assert parsed.blend_order == "index" and type(parsed.a_per_class["bus"]) is float
+    # an int key takes no float text
+    assert main(["generate", "--out", "x", "--n", "1", "--set", "tile_size=8.0"]) == 2
+    assert "config key 'tile_size': bad value '8.0'" in capsys.readouterr().err
 
 
 def test_malformed_set_fails(capsys):

@@ -7,7 +7,6 @@ from rgkit.errors import FormatError, InvalidSpec, ShapeMismatch
 from rgkit.pointcloud import (
     BevRange,
     PointCloud,
-    RadarPoint,
     SceneSpec,
     generate_scene,
     read_cloud,
@@ -49,23 +48,8 @@ def test_cloud_is_immutable_and_copies_input():
 def test_cloud_views_and_equality():
     cloud = PointCloud([[1, 2, 3], [4, 5, 6]], [[7, 8], [9, 10]])
     assert len(cloud) == 2 and cloud.c_raw == 2
-    point = cloud.point(1)
-    assert np.array_equal(point.position, [4, 5, 6])
-    assert np.array_equal(point.raw_features, [9, 10])
-    assert list(cloud)[0] == RadarPoint(np.array([1.0, 2, 3]), np.array([7.0, 8]))
-    assert cloud == PointCloud.from_points(list(cloud))
+    assert cloud == PointCloud([[1, 2, 3], [4, 5, 6]], [[7, 8], [9, 10]])
     assert cloud != PointCloud([[1, 2, 3], [4, 5, 7]], [[7, 8], [9, 10]])
-
-
-def test_from_points_empty_and_ragged():
-    empty = PointCloud.from_points([], c_raw=5)
-    assert len(empty) == 0 and empty.c_raw == 5
-    ragged = [
-        RadarPoint(np.zeros(3), np.zeros(2)),
-        RadarPoint(np.zeros(3), np.zeros(3)),
-    ]
-    with pytest.raises(ShapeMismatch):
-        PointCloud.from_points(ragged)
 
 
 def test_bev_range_validation_and_density():
