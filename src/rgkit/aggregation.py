@@ -9,16 +9,18 @@ center-minus-neighbor offset:
 * :func:`lfa_traversal` — scalar per-center scan; the reference oracle.
 * :func:`lfa_broadcast_mask` — materializes the dense ``N x N`` mask and
   an ``N x N x (c_raw + 3)`` pair tensor; fast but memory-hungry.
-* :func:`lfa_index_scatter` — enumerates neighbor pairs once, segment-means
-  the per-pair inputs by center index, and applies the layer once per
-  point; fast and lean.
+* :func:`lfa_index_scatter` — takes candidate pairs from a k-d tree ball
+  query, keeps those the distance kernel accepts, segment-means the
+  per-pair inputs by center index, and applies the layer once per point;
+  fast and lean.
 
 All three evaluate squared distances with the same expression
 ``dx*dx + dy*dy + dz*dz`` and compare against ``r*r``, so the neighbor
-sets are bit-identical across implementations.  The layer is affine, so
-the two optimized variants project the neighborhood mean instead of
-averaging per-neighbor projections; outputs then agree to the rounding of
-that rearrangement (far below the 1e-9 equivalence budget).
+sets are bit-identical across implementations; the tree only proposes
+a superset of candidates.  The layer is affine, so the two optimized
+variants project the neighborhood mean instead of averaging per-neighbor
+projections; outputs then agree to the rounding of that rearrangement
+(far below the 1e-9 equivalence budget).
 
 Global aggregation (:func:`gfa`) is a single pre-norm self-attention
 block: ``f1 = Linear(f)``; ``(Q, K, V) = Linear(LayerNorm(f1))`` as one
@@ -62,9 +64,6 @@ DEFAULT_DIM = 64
 SCALE_FLOOR = 1e-3
 #: Default cap for the dense broadcast buffers (bytes).
 DEFAULT_MEM_CAP = 1 << 30
-#: Rows per block when building the neighbor index (keeps transients at
-#: ``ROW_CHUNK * N`` instead of ``N * N``).
-ROW_CHUNK = 256
 
 _W_MAGIC = b"RGWT"
 _W_VERSION = 1
@@ -154,9 +153,11 @@ def softplus(x: Array) -> Array:
 
 
 def _softmax_rows(x: Array) -> Array:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax, computed in place in ``x`` and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 @dataclass(frozen=True)
@@ -202,31 +203,16 @@ class AttentionBlock:
 # Local feature aggregation
 
 
-def _sq_dists(a: Array, b: Array) -> Array:
-    """Pairwise squared distances, shape (len(a), len(b)).
+def _sq_norms(offsets: Array) -> Array:
+    """Squared lengths of (..., 3) offsets.
 
     The rounding sequence mirrors the scalar scan in :func:`lfa_traversal`
     term-for-term — ``(dx*dx + dy*dy) + dz*dz`` — so every implementation
-    sees bit-identical values; the in-place updates only cut temporaries.
+    sees bit-identical values; the squares of ``p_i - p_j`` and
+    ``p_j - p_i`` are equal, so either orientation may be passed.
     """
-    return _sq_dists_into(
-        a, b, np.empty((a.shape[0], b.shape[0])), np.empty((a.shape[0], b.shape[0]))
-    )
-
-
-def _sq_dists_into(a: Array, b: Array, d2: Array, t: Array) -> Array:
-    """Same computation as :func:`_sq_dists` into caller-owned scratch."""
-    # huge finite coordinates overflow to inf, which just means "not a neighbour"
-    with np.errstate(over="ignore"):
-        np.subtract(a[:, 0][:, None], b[:, 0][None, :], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(a[:, 1][:, None], b[:, 1][None, :], out=t)
-        np.multiply(t, t, out=t)
-        d2 += t
-        np.subtract(a[:, 2][:, None], b[:, 2][None, :], out=t)
-        np.multiply(t, t, out=t)
-        d2 += t
-    return d2
+    dx, dy, dz = offsets[..., 0], offsets[..., 1], offsets[..., 2]
+    return (dx * dx + dy * dy) + dz * dz
 
 
 def _check_lfa_args(cloud: PointCloud, layer: LinearLayer, r: float) -> None:
@@ -286,12 +272,16 @@ def traversal_mem_bytes(n: int, c_raw: int, c: int) -> int:
 
 
 def index_scatter_mem_bytes(n: int, c_raw: int, c: int, n_pairs: int) -> int:
-    """Dominant transient bytes of :func:`lfa_index_scatter`: the larger of
-    the chunked index-build phase and the reduce phase: the pair indices,
-    the ``n_pairs x (c_raw + 3)`` pair tensor, one gathered position block,
-    and the per-point input table, sums, means and output."""
-    build = 9 * min(n, ROW_CHUNK) * n + 16 * n_pairs
-    reduce = n_pairs * (16 + 24 + 8 * (c_raw + 3)) + 8 * n * (3 * (c_raw + 3) + c)
+    """Dominant transient bytes of :func:`lfa_index_scatter`, taking the
+    tree's candidates to be about as many as the neighbor pairs.  The index
+    build holds the clipped positions, the candidate and oriented pairs, two
+    gathered position blocks with their offsets, and the tree's nodes (at
+    most ``2n`` of 72 bytes, unseen by ``tracemalloc``).  The reduce phase
+    holds the index, the ``n_pairs x (c_raw + 3)`` pair tensor, one gathered
+    position block, the per-point table, counts, offsets, sums, means and
+    output (before and after the bias), and matmul's 64 KiB buffer."""
+    build = 96 * n_pairs + 184 * n
+    reduce = n_pairs * (40 + 8 * (c_raw + 3)) + 8 * n * (3 * (c_raw + 3) + 2 * c + 2) + 65536
     return max(build, reduce)
 
 
@@ -317,7 +307,6 @@ def lfa_broadcast_mask(
         )
     pos = cloud.positions
     k = cloud.c_raw
-    mask = _sq_dists(pos, pos) < r * r
     pair = np.empty((n, n, k + 3))
     pair[:, :, :k] = cloud.features[None, :, :]
     # offsets between huge finite coordinates overflow to inf; those pairs
@@ -325,6 +314,7 @@ def lfa_broadcast_mask(
     # keeps inf * 0 = NaN out of the row sums
     with np.errstate(over="ignore"):
         pair[:, :, k:] = pos[:, None, :] - pos[None, :, :]
+        mask = _sq_norms(pair[:, :, k:]) < r * r
     pair[~mask] = 0.0
     counts = mask.sum(axis=1)
     return layer.apply(pair.sum(axis=1) / counts[:, None])
@@ -352,33 +342,30 @@ class NeighborIndex:
 
 
 def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
-    """Enumerate neighbor pairs in (row, col) order, chunking the distance
-    evaluation by rows so transients stay at ``ROW_CHUNK * N``."""
+    """Enumerate neighbor pairs in (row, col) order: a k-d tree proposes
+    candidate pairs (the ball query of PointNet++, Qi et al., 2017) and
+    the shared distance kernel decides which of them are neighbors."""
     if not (math.isfinite(r) and r > 0):
         raise InvalidSpec(f"neighborhood radius must be positive, got {r}")
+    # imported here, not at module level: loading scipy.spatial costs about
+    # 0.12 s and 11 MB, which every process importing rgkit would pay
+    from scipy.spatial import cKDTree
+
     n = len(cloud)
     pos = cloud.positions
-    r2 = r * r
-    rows, cols = [], []
-    m = min(n, ROW_CHUNK)
-    d2 = np.empty((m, n))
-    t = np.empty((m, n))
-    hit = np.empty((m, n), dtype=bool)
-    for start in range(0, n, ROW_CHUNK):
-        stop = min(start + ROW_CHUNK, n)
-        m = stop - start
-        _sq_dists_into(pos[start:stop], pos, d2[:m], t[:m])
-        np.less(d2[:m], r2, out=hit[:m])
-        rr, cc = np.nonzero(hit[:m])
-        rows.append(rr + start)
-        cols.append(cc)
-    if rows:
-        row_idx = np.concatenate(rows)
-        col_idx = np.concatenate(cols)
-    else:
-        row_idx = np.zeros(0, dtype=np.int64)
-        col_idx = np.zeros(0, dtype=np.int64)
-    return NeighborIndex(row_idx, col_idx, n)
+    # the tree raises once a cloud's extent passes ~1.3e154; clipping never
+    # lengthens an offset and the radius has slack over the kernel's
+    # rounding, so the candidates stay a superset of the neighbors
+    cand = cKDTree(np.clip(pos, -1e150, 1e150)).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    self_pairs = np.arange(n)
+    rows = np.concatenate([cand[:, 0], cand[:, 1], self_pairs])
+    cols = np.concatenate([cand[:, 1], cand[:, 0], self_pairs])
+    # huge finite coordinates overflow to inf, which just means "not a neighbour"
+    with np.errstate(over="ignore"):
+        keep = _sq_norms(pos[rows] - pos[cols]) < r * r
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((cols, rows))
+    return NeighborIndex(rows[order], cols[order], n)
 
 
 def lfa_index_scatter(cloud: PointCloud, layer: LinearLayer, r: float) -> Array:
@@ -421,7 +408,8 @@ def gfa(cloud: PointCloud, block: AttentionBlock) -> Array:
     heads_out = np.empty_like(q)
     for h in range(block.n_heads):
         sl = slice(h * d_head, (h + 1) * d_head)
-        scores = q[:, sl] @ k[:, sl].T / math.sqrt(d_head)
+        scores = q[:, sl] @ k[:, sl].T
+        scores /= math.sqrt(d_head)
         heads_out[:, sl] = _softmax_rows(scores) @ v[:, sl]
     f2 = block.out_proj.apply(heads_out) + f1
     hidden = gelu(block.ffn1.apply(block.ln2.apply(f2)))

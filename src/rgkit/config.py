@@ -18,6 +18,7 @@ settings: ``vod`` (51.2 m x 51.2 m at 320 x 320) and ``tj4d``
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -79,8 +80,8 @@ class RunConfig:
             raise InvalidSpec(f"c must be >= 1, got {self.c}")
         if self.n_heads < 1 or self.c % self.n_heads:
             raise InvalidSpec(f"n_heads {self.n_heads} must divide c {self.c}")
-        if self.s_min < 0:
-            raise InvalidSpec(f"s_min must be >= 0, got {self.s_min}")
+        if not (math.isfinite(self.s_min) and self.s_min >= 0):
+            raise InvalidSpec(f"s_min must be finite and >= 0, got {self.s_min}")
         if self.mem_cap < 0:
             raise InvalidSpec(f"mem_cap must be >= 0, got {self.mem_cap}")
         if not self.z_max > self.z_min:

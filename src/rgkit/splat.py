@@ -89,8 +89,10 @@ class RasterSettings:
                 f"alpha_min must be in (0, 1) so footprints are finite, "
                 f"got {self.alpha_min}"
             )
-        if self.lambda_blur < 0:
-            raise InvalidSpec(f"lambda_blur must be >= 0, got {self.lambda_blur}")
+        if not (math.isfinite(self.lambda_blur) and self.lambda_blur >= 0):
+            raise InvalidSpec(f"lambda_blur must be finite and >= 0, got {self.lambda_blur}")
+        if not (math.isfinite(self.t_min) and self.t_min < 1.0):
+            raise InvalidSpec(f"t_min must be finite and < 1 (<= 0 disables), got {self.t_min}")
         if self.tile_size < 1:
             raise InvalidSpec(f"tile_size must be >= 1, got {self.tile_size}")
         if self.blend_order not in BLEND_ORDERS:

@@ -2,12 +2,18 @@
 cross-implementation equivalence, attribute head, weight I/O."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import rgkit
 from rgkit.aggregation import (
     AttentionBlock,
     LayerNormParams,
@@ -153,21 +159,64 @@ def test_lfa_implementations_agree(r):
         assert np.max(np.abs(fn(cloud, layer, r) - reference)) <= 1e-9
 
 
-def test_neighbor_index_matches_bruteforce():
-    cloud = generate_scene(SceneSpec(seed=8, n_points=150))
-    r = 0.6
+def _shells(r):
+    """A centre with points at distance r(1 + k 1e-16), k = -3..3, along
+    the axes and one diagonal: the kernel's rounding decides each one."""
+    centre = np.array([1.5, -2.25, 0.75])
+    dirs = np.vstack([np.eye(3), -np.eye(3), np.full((1, 3), 1.0 / math.sqrt(3.0))])
+    rings = [centre + dirs * (r * (1.0 + k * 1e-16)) for k in range(-3, 4)]
+    return np.vstack([centre[None, :], *rings])
+
+
+_SCENE = generate_scene(SceneSpec(seed=8, n_points=150)).positions
+NEIGHBOR_CASES = {
+    "scene": (_SCENE, 0.6),
+    "shells": (_shells(0.32), 0.32),
+    "shift_1e6": (_SCENE + 1e6, 0.6),
+    "shift_1e8": (_SCENE + 1e8, 0.6),
+    "shift_-1e8": (_SCENE - 1e8, 0.6),
+    "shift_3e15": (_SCENE + 3e15, 0.6),
+    "huge": (
+        np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                  [-1e308, 0.0, 0.0], [-1.7e308, 0.0, 0.0], [1e308, 0.0, 0.2]]),
+        0.32,
+    ),
+    "dup_1e200": (np.vstack([np.full((4, 3), 1e200), [[0.0, 0.0, 0.0]], np.full((3, 3), -1e200)]), 0.32),
+    "empty": (np.zeros((0, 3)), 0.32),
+    "single": (np.array([[3.0, -4.0, 5.0]]), 0.32),
+    "all_duplicate": (np.tile([[0.5, -0.25, 1.0]], (40, 1)), 0.32),
+}
+
+
+@pytest.mark.parametrize("case", list(NEIGHBOR_CASES))
+def test_neighbor_index_matches_bruteforce(case):
+    pos, r = NEIGHBOR_CASES[case]
+    cloud = PointCloud(pos, np.zeros((len(pos), 1)))
     index = build_neighbor_index(cloud, r)
-    got = list(zip(index.row_idx.tolist(), index.col_idx.tolist()))
-    xs, ys, zs = (cloud.positions[:, k].tolist() for k in range(3))
-    want = []
-    for i in range(len(cloud)):
-        for j in range(len(cloud)):
+    xs, ys, zs = (pos[:, k].tolist() for k in range(3))
+    rows, cols = [], []
+    for i in range(len(pos)):
+        for j in range(len(pos)):
             dx, dy, dz = xs[i] - xs[j], ys[i] - ys[j], zs[i] - zs[j]
             if dx * dx + dy * dy + dz * dz < r * r:
-                want.append((i, j))
-    assert got == want  # same pairs, same (row-major) order
-    assert index.counts().sum() == len(want)
+                rows.append(i)
+                cols.append(j)
+    # same pairs, same (row-major) order, same dtype
+    for got, want in ((index.row_idx, rows), (index.col_idx, cols)):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.array(want, dtype=np.intp))
+    assert index.counts().sum() == len(rows)
     assert np.all(index.counts() >= 1)  # self pair guarantees nonzero rows
+
+
+def test_importing_rgkit_leaves_scipy_spatial_unloaded():
+    # build_neighbor_index imports it on first use; at import time it would
+    # add ~0.12 s and ~11 MB to every process
+    code = "import sys, rgkit; print('scipy.spatial' in sys.modules)"
+    src = str(Path(rgkit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_broadcast_respects_memory_cap():
@@ -188,6 +237,21 @@ def test_memory_estimates():
     assert est > 0
     # the sparse estimate must undercut the dense one at this scale
     assert est < broadcast_mem_bytes(400, 4)
+
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_index_scatter_estimate_bounds_traced_peak(n):
+    cloud = generate_scene(SceneSpec(seed=0, n_points=n, n_clusters=4, cluster_sigma=0.5))
+    layer = init_weights(0, c_raw=4, c=64).lfa
+    pairs = len(build_neighbor_index(cloud, 0.32))
+    tracemalloc.start()
+    try:
+        lfa_index_scatter(cloud, layer, 0.32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= index_scatter_mem_bytes(n, 4, 64, pairs)
 
 
 # ---------------------------------------------------------------------------

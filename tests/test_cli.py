@@ -140,6 +140,14 @@ def test_encode_non_finite_row_exits_2(tmp_path, capsys, bad):
     assert "error: InvalidSpec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["s_min=nan", "lambda_blur=nan", "t_min=nan", "t_min=2",
+                                     "s_min=inf", "lambda_blur=inf"])
+def test_encode_out_of_range_setting_exits_2(tmp_path, small_cloud, capsys, setting):
+    assert main(["encode", "--cloud", str(small_cloud), "--out", str(tmp_path / "m.rgfm"),
+                 "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", setting]) == 2
+    assert "error: InvalidSpec" in capsys.readouterr().err
+
+
 def test_encode_huge_coordinate_is_culled(tmp_path):
     # at 6.25 px per meter the far point projects to an infinite pixel position
     cloud = _write_csv_cloud(tmp_path / "far.csv", ["1,1,0,1", "1e308,0,0,1"])
