@@ -12,6 +12,8 @@ Every entry point is deterministic: scenes, weights, and rasterized maps
 are bit-reproducible across runs.
 """
 
+import types
+
 from .aggregation import (
     AttentionBlock,
     GaussianPrimitive3D,
@@ -93,77 +95,8 @@ from .splat import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllocationLimit",
-    "AttentionBlock",
-    "BenchReport",
-    "BenchRow",
-    "BevFeatureMap",
-    "BevRange",
-    "BglConfig",
-    "Box3D",
-    "DegenerateBox",
-    "DegenerateQuaternion",
-    "EmptyBatch",
-    "FormatError",
-    "GaussianDistribution3D",
-    "GaussianPrimitive3D",
-    "InvalidSpec",
-    "KlComponents",
-    "LayerNormParams",
-    "LengthMismatch",
-    "LinearLayer",
-    "NeighborIndex",
-    "NonPositiveScale",
-    "PRESETS",
-    "PgeParams",
-    "PointCloud",
-    "RasterSettings",
-    "RgkError",
-    "RunConfig",
-    "SceneSpec",
-    "ShapeMismatch",
-    "SingularCovariance",
-    "SingularMatrix",
-    "Splat2D",
-    "SplitMix64",
-    "apply_preset",
-    "apply_updates",
-    "bgl",
-    "bgl_gradient",
-    "box_to_gaussian",
-    "build_neighbor_index",
-    "dump_config",
-    "encode",
-    "fd_gradient",
-    "fnv1a64",
-    "generate_scene",
-    "gfa",
-    "init_weights",
-    "kl_divergence",
-    "lfa_broadcast_mask",
-    "lfa_index_scatter",
-    "lfa_traversal",
-    "load_config",
-    "load_weights",
-    "mix64",
-    "nonzero_pixels",
-    "parse_config_text",
-    "pillar_scatter",
-    "predict_attributes",
-    "project_to_bev",
-    "rasterize",
-    "rasterize_oracle",
-    "read_boxes",
-    "read_cloud",
-    "read_feature_map",
-    "run_bench",
-    "run_selftest",
-    "save_weights",
-    "stream_seed",
-    "write_boxes",
-    "write_cloud",
-    "write_feature_map",
-    "write_pgm",
-    "__version__",
-]
+#: every public name imported above; the subpackage modules stay out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+) + ["__version__"]

@@ -215,9 +215,14 @@ def _sq_norms(offsets: Array) -> Array:
     return (dx * dx + dy * dy) + dz * dz
 
 
+def check_radius(r: float) -> None:
+    """Every search compares squared distances with ``r * r``: it must be > 0 and finite."""
+    if not (r > 0 and 0 < r * r < math.inf):
+        raise InvalidSpec(f"neighborhood radius must be > 0 with a finite nonzero square, got {r}")
+
+
 def _check_lfa_args(cloud: PointCloud, layer: LinearLayer, r: float) -> None:
-    if not (math.isfinite(r) and r > 0):
-        raise InvalidSpec(f"neighborhood radius must be positive, got {r}")
+    check_radius(r)
     if layer.in_dim != cloud.c_raw + 3:
         raise ShapeMismatch(
             f"layer expects {layer.in_dim} channels but cloud provides "
@@ -345,8 +350,7 @@ def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
     """Enumerate neighbor pairs in (row, col) order: a k-d tree proposes
     candidate pairs (the ball query of PointNet++, Qi et al., 2017) and
     the shared distance kernel decides which of them are neighbors."""
-    if not (math.isfinite(r) and r > 0):
-        raise InvalidSpec(f"neighborhood radius must be positive, got {r}")
+    check_radius(r)
     # imported here, not at module level: loading scipy.spatial costs about
     # 0.12 s and 11 MB, which every process importing rgkit would pay
     from scipy.spatial import cKDTree

@@ -22,7 +22,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .aggregation import DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR
+from .aggregation import DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR, check_radius
 from .boxloss import DEFAULT_A_PER_CLASS, BglConfig
 from .errors import FormatError, InvalidSpec
 from .pointcloud import DEFAULT_RANGE, BevRange, SceneSpec
@@ -74,8 +74,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Range-check scalars and construct every sub-config once."""
-        if not self.r > 0:
-            raise InvalidSpec(f"r must be > 0, got {self.r}")
+        check_radius(self.r)
         if self.c < 1:
             raise InvalidSpec(f"c must be >= 1, got {self.c}")
         if self.n_heads < 1 or self.c % self.n_heads:

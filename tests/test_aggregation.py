@@ -126,12 +126,22 @@ def test_lfa_empty_cloud(fn):
 def test_lfa_rejects_bad_args(fn):
     cloud = generate_scene(SceneSpec(seed=0, n_points=4))
     layer = init_weights(0, c_raw=4, c=8).lfa
-    with pytest.raises(InvalidSpec):
-        fn(cloud, layer, 0.0)
-    with pytest.raises(InvalidSpec):
-        fn(cloud, layer, -1.0)
+    # 1e-200 and 1e200 square to 0 and inf, which the distance kernel cannot use
+    for r in (0.0, -1.0, 1e-200, 1e200, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            fn(cloud, layer, r)
     with pytest.raises(ShapeMismatch):
         fn(cloud, init_weights(0, c_raw=5, c=8).lfa, 0.32)
+
+
+def test_neighbor_index_and_config_reject_a_radius_whose_square_leaves_float64():
+    cloud = generate_scene(SceneSpec(seed=0, n_points=4))
+    for r in (1e-200, 1e200, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            build_neighbor_index(cloud, r)
+        with pytest.raises(InvalidSpec):
+            rgkit.RunConfig(r=r).validate()
+    assert len(build_neighbor_index(cloud, 1e-150).row_idx) == 4  # only the self-pairs
 
 
 @pytest.mark.parametrize("fn", ALL_LFA)

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from rgkit.boxloss import (
+    SIZE_FLOOR,
     BglConfig,
     Box3D,
     GaussianDistribution3D,
+    _clamped,
+    _columns,
+    _kl_and_gradient,
     bgl,
     bgl_gradient,
     box_to_gaussian,
@@ -27,7 +31,7 @@ from rgkit.errors import (
     LengthMismatch,
     SingularCovariance,
 )
-from rgkit.geom import mat3_det, rotmat_z
+from rgkit.geom import DET_EPS, mat3_det, rotmat_z
 from rgkit.rng import SplitMix64, stream_seed
 
 
@@ -241,8 +245,187 @@ def test_gradient_direction_reduces_loss():
 
 def test_gradient_sharpness_validation():
     box = Box3D(0, 0, 0, 1, 1, 1, 0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            bgl_gradient(box, box, a=bad)
+    # BglConfig rejects a <= 0 and NaN itself; an infinite a reaches bgl
     with pytest.raises(InvalidSpec):
-        bgl_gradient(box, box, a=0.0)
+        bgl([box], [box], None, BglConfig({}, math.inf))
+    with pytest.raises(InvalidSpec):
+        bgl([box], [box], ["car"], BglConfig({"car": math.inf}))
+
+
+# ---------------------------------------------------------------------------
+# The yaw-frame kernel behind bgl and bgl_gradient
+
+
+def _thin_pairs(seed, n):
+    """Pairs of thin, elongated boxes (one axis 0.5-10 mm, some clamped to
+    SIZE_FLOOR, the others up to 20 m) at yaws near +-pi and +-2pi."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        def box(center, theta):
+            dims = rng.permutation([10 ** rng.uniform(-3.3, -2), rng.uniform(1, 20),
+                                    rng.uniform(0.5, 20)])
+            return Box3D(*center, *dims, theta)
+
+        theta = rng.choice([math.pi, -math.pi, 2 * math.pi, -2 * math.pi]) + rng.normal() * 1e-3
+        gt = box(rng.normal(size=3) * 5, theta)
+        pred = box(np.array([gt.x, gt.y, gt.z]) + rng.normal(size=3) * 0.1,
+                   theta + rng.normal() * 1e-2)
+        pairs.append((pred, gt))
+    return pairs
+
+
+def _mp_divergence(mp, params, gt, a):
+    """KL at 50 digits from dense covariances, ``mp.inverse`` and ``mp.det``;
+    ``params`` are the predicted box parameters, dimensions already clamped."""
+    def cov(theta, dims):
+        c, s = mp.cos(theta), mp.sin(theta)
+        rot = mp.matrix([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+        return rot * mp.diag([(d / (2 * mp.mpf(a))) ** 2 for d in dims]) * rot.T
+
+    gdims = [mp.mpf(max(d, SIZE_FLOOR)) for d in (gt.l, gt.w, gt.h)]
+    sigma = cov(mp.mpf(gt.theta), gdims)
+    sigma_hat = cov(params[6], params[3:6])
+    inv = mp.inverse(sigma)
+    delta = mp.matrix([params[0] - gt.x, params[1] - gt.y, params[2] - gt.z])
+    trace = sum((inv * sigma_hat)[i, i] for i in range(3))
+    return ((delta.T * inv * delta)[0] + trace
+            + mp.log(mp.det(sigma)) - mp.log(mp.det(sigma_hat)) - 3) / 2
+
+
+@pytest.mark.parametrize("a", [1.0, 3.0])
+def test_kernel_matches_50_digit_reference_on_thin_boxes(a):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for k, (pred, gt) in enumerate(_thin_pairs(7, 40)):
+            # the gradient is taken at the clamped dimensions
+            params = [mp.mpf(v) for v in _columns([pred])[:, 0]]
+            want = _mp_divergence(mp, params, gt, a)
+            got = bgl([pred], [gt], None, BglConfig({}, a))
+            assert abs(float(got - want)) <= 1e-13 * max(1.0, abs(float(want)))
+            if k % 4:
+                continue
+            grad = bgl_gradient(pred, gt, a)
+            for j in range(7):
+                def along(t, j=j):
+                    return _mp_divergence(mp, params[:j] + [t] + params[j + 1:], gt, a)
+                want_j = mp.diff(along, params[j])
+                assert abs(float(grad[j] - want_j)) <= 1e-13 * max(1.0, abs(float(want_j)))
+
+
+def _benchmark_like_pairs(seed, n=400):
+    """Cars, trucks (a=3), pedestrians and cyclists (a=1) over a 70 m x 80 m
+    field, predictions perturbed by ~10% of the size and ~0.15 rad."""
+    rng = np.random.default_rng(seed)
+    means = {"car": (4.5, 1.9, 1.6), "truck": (10.0, 2.5, 3.2),
+             "pedestrian": (0.6, 0.6, 1.7), "cyclist": (1.8, 0.6, 1.6)}
+    classes = list(rng.choice(list(means), n))
+    preds, gts = [], []
+    for name in classes:
+        dims = np.array(means[name]) * np.clip(1 + 0.1 * rng.normal(size=3), 0.7, 1.3)
+        center = rng.uniform([0, -40, -1], [70, 40, 1])
+        theta = rng.uniform(-math.pi, math.pi)
+        gts.append(Box3D(*center, *dims, theta))
+        preds.append(Box3D(*(center + 0.1 * dims * rng.normal(size=3)),
+                           *(dims * np.exp(0.1 * rng.normal(size=3))),
+                           theta + 0.15 * rng.normal()))
+    return preds, gts, classes
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_kernel_matches_dense_oracle_and_bgl_sums_in_index_order(seed):
+    preds, gts, classes = _benchmark_like_pairs(seed)
+    cfg = default_config()
+    a = np.array([cfg.a_for(c) for c in classes])
+    kl, _ = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
+    total = 0.0
+    for i, (p, t) in enumerate(zip(preds, gts)):
+        want = kl_divergence(box_to_gaussian(p, a[i]), box_to_gaussian(t, a[i])).total
+        assert abs(kl[i] - want) <= 1e-12 * max(1.0, abs(want))
+        total += float(kl[i])
+    assert bgl(preds, gts, classes, cfg) == total / len(gts)
+
+
+def test_kernel_on_numpy_rows_matches_math_floats():
+    preds, gts, classes = _benchmark_like_pairs(13, 100)
+    thin_preds, thin_gts = zip(*_thin_pairs(13, 100))
+    preds, gts = preds + list(thin_preds), gts + list(thin_gts)
+    a = np.array([3.0 if c in ("car", "truck") else 1.0 for c in classes] + [1.0] * 100)
+    kl, grad = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
+    for i, (p, t) in enumerate(zip(preds, gts)):
+        kl_f, grad_f = _kl_and_gradient(_clamped(p), _clamped(t), float(a[i]), math, bool)
+        assert abs(kl[i] - kl_f) <= 1e-12 * max(1.0, abs(kl_f))
+        for j in range(7):
+            assert abs(grad[j][i] - grad_f[j]) <= 1e-12 * max(1.0, abs(grad_f[j]))
+
+
+def test_gradient_matches_finite_differences_on_elongated_boxes():
+    preds, gts, classes = _benchmark_like_pairs(14, 100)
+    rng = np.random.default_rng(14)
+    for _ in range(50):  # 0.1 m x 20 m slabs at any yaw
+        gt = Box3D(*rng.normal(size=3), 20.0, 0.1, 1.0, rng.uniform(-7, 7))
+        preds.append(Box3D(gt.x + 0.05, gt.y - 0.02, gt.z, 19.0, 0.12, 1.1, gt.theta + 0.05))
+        gts.append(gt)
+        classes.append("pedestrian")
+    cfg = default_config()
+    for p, t, c in zip(preds, gts, classes):
+        analytic = bgl_gradient(p, t, cfg.a_for(c))
+        numeric = fd_gradient(p, t, cfg.a_for(c))
+        assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.maximum(1.0, np.abs(analytic)))
+
+
+def test_identical_boxes_give_exactly_zero_divergence_and_gradient():
+    gen = SplitMix64(stream_seed(98, "zero"))
+    boxes = [_random_box(gen) for _ in range(30)]
+    boxes += [pred for pred, _ in _thin_pairs(98, 30)]
+    boxes += [Box3D(1e6, -1e6, 3.0, 1e-4, 40.0, 2.0, 1e6), Box3D(0, 0, 0, 1, 1, 1, -2 * math.pi)]
+    for a in (0.5, 1.0, 3.0):
+        cfg = BglConfig({}, a)
+        assert bgl(boxes, boxes, None, cfg) == 0.0
+        for b in boxes:
+            assert bgl([b], [b], None, cfg) == 0.0
+            assert np.all(bgl_gradient(b, b, a) == 0.0)
+
+
+def test_target_determinant_threshold_matches_the_oracle():
+    pred = Box3D(0, 0, 0, 0.02, 0.02, 0.02, 0.0)
+    cfg = BglConfig({}, 0.5)  # 2a = 1, so the variances are the squared dimensions
+    above = Box3D(0, 0, 0, 0.01, 0.01, 0.01 * (1 + 1e-3), 0.3)
+    below = Box3D(0, 0, 0, 0.01, 0.01, 0.01 * (1 - 1e-3), 0.3)
+    assert (0.01 * 0.01) ** 2 * (0.01 * (1 + 1e-3)) ** 2 > DET_EPS
+    assert (0.01 * 0.01) ** 2 * (0.01 * (1 - 1e-3)) ** 2 <= DET_EPS
+    kl_divergence(box_to_gaussian(pred, 0.5), box_to_gaussian(above, 0.5))
+    assert math.isfinite(bgl([pred], [above], None, cfg))
+    assert np.all(np.isfinite(bgl_gradient(pred, above, 0.5)))
+    with pytest.raises(SingularCovariance):
+        kl_divergence(box_to_gaussian(pred, 0.5), box_to_gaussian(below, 0.5))
+    with pytest.raises(SingularCovariance):
+        bgl([pred], [below], None, cfg)
+    with pytest.raises(SingularCovariance):
+        bgl_gradient(pred, below, 0.5)
+    # a predicted determinant that underflows to zero is singular too
+    tiny, wide = Box3D(0, 0, 0, 1e-3, 1e-3, 1e-3, 0), Box3D(0, 0, 0, 2e60, 2e60, 2e60, 0)
+    with pytest.raises(SingularCovariance):
+        bgl([tiny], [wide], None, BglConfig({}, 1e60))
+    with pytest.raises(SingularCovariance):
+        bgl_gradient(tiny, wide, 1e60)
+
+
+def test_overflowing_boxes_are_invalid_spec():
+    unit = Box3D(0, 0, 0, 1, 1, 1, 0)
+    huge = Box3D(0, 0, 0, 1e308, 1, 1, 0)  # (l/2a)^2 overflows
+    far = Box3D(1e308, 0, 0, 1, 1, 1, 0)
+    spun = Box3D(0, 0, 0, 1, 1, 1, 1e308)
+    cases = [(huge, unit), (unit, huge), (far, Box3D(-1e308, 0, 0, 1, 1, 1, 0)),
+             (spun, Box3D(0, 0, 0, 1, 1, 1, -1e308))]
+    for pred, gt in cases:
+        with pytest.raises(InvalidSpec):
+            bgl([unit, pred], [unit, gt], None, default_config())
+        with pytest.raises(InvalidSpec):
+            bgl_gradient(pred, gt, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +463,10 @@ def test_boxes_io_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError):
             read_boxes(path)
+
+
+def test_non_utf8_box_file_is_a_format_error(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"x,y,z,l,w,h,theta\n\xff\xfe,1\n")
+    with pytest.raises(FormatError):
+        read_boxes(path)

@@ -91,6 +91,16 @@ def test_encode_writes_map_and_pgm(tmp_path, small_cloud, capsys):
     assert pgm.read_bytes().startswith(b"P5\n64 64\n255\n")
 
 
+@pytest.mark.parametrize("r", ["1e-200", "1e200"])
+def test_radius_whose_square_leaves_float64_exits_2(tmp_path, small_cloud, capsys, r):
+    # r=1e-200 squares to 0, so no point was its own neighbour and the
+    # segment mean died with a raw IndexError
+    code = main(["encode", "--cloud", str(small_cloud), "--out", str(tmp_path / "m.rgfm"),
+                 "--set", f"r={r}"])
+    assert code == 2
+    assert "InvalidSpec" in capsys.readouterr().err
+
+
 def test_encode_deterministic_across_runs(tmp_path, small_cloud):
     outs = [tmp_path / f"m{i}.rgfm" for i in range(3)]
     shrink = ["--set", "c=16", "--set", "h=64", "--set", "w=64"]
@@ -282,6 +292,52 @@ def test_bgl_length_mismatch_exits_3(tmp_path, capsys):
     write_boxes([Box3D(0, 0, 0, 1, 1, 1, 0)], solo)
     assert main(["bgl", "--pred", str(pred), "--gt", str(solo)]) == 3
     assert "LengthMismatch" in capsys.readouterr().err
+
+
+def _write_single_pair(tmp_path, pred, gt):
+    write_boxes([pred], tmp_path / "p.csv")
+    write_boxes([gt], tmp_path / "g.csv")
+    return ["bgl", "--pred", str(tmp_path / "p.csv"), "--gt", str(tmp_path / "g.csv")]
+
+
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_bgl_box_with_overflowing_axis_variance_exits_2(tmp_path, capsys, side):
+    unit, huge = Box3D(0, 0, 0, 1, 1, 1, 0), Box3D(0, 0, 0, 1e308, 1, 1, 0)
+    pair = (huge, unit) if side == "pred" else (unit, huge)
+    assert main([*_write_single_pair(tmp_path, *pair), "--grad-check"]) == 2
+    captured = capsys.readouterr()
+    assert "InvalidSpec" in captured.err and "nan" not in captured.out
+
+
+def test_bgl_box_too_large_for_the_dense_report_exits_2(tmp_path, capsys):
+    # the batched loss handles a yawed 1e100 m box; the dense per-pair terms
+    # overflow in the 3x3 products, which used to print nan and exit 0
+    huge = Box3D(0, 0, 0, 1e100, 1, 1, 0.785)
+    assert main([*_write_single_pair(tmp_path, huge, huge), "--grad-check"]) == 2
+    captured = capsys.readouterr()
+    assert "InvalidSpec" in captured.err and "nan" not in captured.out
+
+
+def test_bgl_singular_target_exits_3(tmp_path, capsys):
+    cube = Box3D(0, 0, 0, 0.01, 0.01, 0.01, 0)  # det (0.005^2)^3 at a=1
+    assert main(_write_single_pair(tmp_path, Box3D(0, 0, 0, 1, 1, 1, 0), cube)) == 3
+    assert "SingularCovariance" in capsys.readouterr().err
+
+
+def test_bgl_grad_check_counts_nan_as_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rgkit.cli.fd_gradient", lambda p, t, a: np.full(7, np.nan))
+    pred, gt = _write_box_pair(tmp_path)
+    assert main(["bgl", "--pred", str(pred), "--gt", str(gt), "--grad-check"]) == 4
+    captured = capsys.readouterr()
+    assert "grad_check_max_rel_err = inf" in captured.out
+    assert "gradient check failed" in captured.err
+
+
+def test_bgl_non_utf8_box_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,y,z,l,w,h,theta\n\xff\xfe,1\n")
+    assert main(["bgl", "--pred", str(bad), "--gt", str(bad)]) == 2
+    assert "FormatError" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
