@@ -29,10 +29,10 @@ joint projection; ``f2 = SelfAttn(Q, K, V) + f1``;
 ``softmax(Q K^T / sqrt(d_head)) V`` per head, heads concatenated and
 output-projected, and the FFN is two linear layers around an exact GELU.
 
-:func:`predict_attributes` turns aggregated features into renderable
-Gaussian primitives: positive scales via softplus plus a floor, a
-normalized quaternion, opacity fixed at 1, and the mean fixed at the
-source point position.
+:func:`predict_attribute_arrays` turns aggregated features into the
+arrays of renderable Gaussian primitives: positive scales via softplus
+plus a floor, a normalized quaternion, opacity fixed at 1, and the mean
+fixed at the source point position.
 
 Weight files use the ``RGWT`` format: magic, u32 version (=1), then named
 tensors (u32 name length, UTF-8 name, u32 rank, u32 dims, little-endian
@@ -436,19 +436,20 @@ class GaussianPrimitive3D:
     features: Array
 
 
-def predict_attributes(
+def predict_attribute_arrays(
     cloud: PointCloud,
     f_lfa: Array,
     f_gfa: Array,
     head: LinearLayer,
     s_min: float = SCALE_FLOOR,
-) -> list[GaussianPrimitive3D]:
-    """Predict one Gaussian primitive per point.
+) -> tuple:
+    """Predict every point's Gaussian attributes as arrays.
 
     Head input is ``concat(f, f_lfa, f_gfa)`` per point; its output splits
     into scale logits (3, softplus + ``s_min``), quaternion logits (4,
-    normalized), and the feature vector (the rest).  Means are the point
-    positions exactly; opacity is fixed at 1.
+    normalized), and the feature vector (the rest).  Returns scales (N, 3),
+    unit quaternions (N, 4) and features (N, C); the means are the point
+    positions exactly and the opacity is fixed at 1.
     """
     n = len(cloud)
     if f_lfa.shape[0] != n or f_gfa.shape[0] != n:
@@ -464,19 +465,18 @@ def predict_attributes(
             f"head must emit 3 scales + 4 quat + >=1 feature, got {head.out_dim}"
         )
     raw = head.apply(np.concatenate([cloud.features, f_lfa, f_gfa], axis=1))
-    scales = softplus(raw[:, :3]) + s_min
-    prims = []
-    for i in range(n):
-        prims.append(
-            GaussianPrimitive3D(
-                mean=cloud.positions[i].copy(),
-                scales=scales[i],
-                quat=quat_normalize(raw[i, 3:7]),
-                opacity=1.0,
-                features=raw[i, 7:].copy(),
-            )
-        )
-    return prims
+    return softplus(raw[:, :3]) + s_min, quat_normalize(raw[:, 3:7]), raw[:, 7:]
+
+
+def predict_attributes(
+    cloud: PointCloud, f_lfa: Array, f_gfa: Array, head: LinearLayer, s_min: float = SCALE_FLOOR
+) -> list[GaussianPrimitive3D]:
+    """:func:`predict_attribute_arrays` as one primitive per point."""
+    scales, quats, features = predict_attribute_arrays(cloud, f_lfa, f_gfa, head, s_min)
+    return [
+        GaussianPrimitive3D(cloud.positions[i].copy(), scales[i], quats[i], 1.0, features[i].copy())
+        for i in range(len(cloud))
+    ]
 
 
 # ---------------------------------------------------------------------------

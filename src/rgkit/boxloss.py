@@ -117,9 +117,9 @@ class BglConfig:
     a_default: float = 1.0
 
     def __post_init__(self) -> None:
-        bad = {k: v for k, v in self.a_per_class.items() if not v > 0}
-        if bad or not self.a_default > 0:
-            raise InvalidSpec(f"every a must be > 0, got {bad or self.a_default}")
+        bad = {k: v for k, v in self.a_per_class.items() if not 0 < v < math.inf}
+        if bad or not 0 < self.a_default < math.inf:
+            raise InvalidSpec(f"every a must be finite and > 0, got {bad or self.a_default}")
 
     def a_for(self, cls: Optional[str]) -> float:
         if cls is None:
@@ -151,8 +151,14 @@ def box_to_gaussian(b: Box3D, a: float, strict: bool = False) -> GaussianDistrib
     l, w, h = _sanitized_dims(b, strict)
     half = 2.0 * a
     scales = np.array([l / half, w / half, h / half])
-    sigma = covariance_from_scale_rot(scales, rotmat_z(b.theta))
-    det = (l * w * h / half**3) ** 2
+    try:
+        with np.errstate(over="raise"):
+            sigma = covariance_from_scale_rot(scales, rotmat_z(b.theta))
+        det = (l * w * h / half**3) ** 2
+        if det == math.inf:  # l * w * h overflowed without raising
+            raise OverflowError
+    except (OverflowError, FloatingPointError):
+        raise InvalidSpec(f"Gaussian of box {b} with a={a} overflows float64") from None
     return GaussianDistribution3D(
         mu=np.array([b.x, b.y, b.z]), sigma=sigma, det=det
     )

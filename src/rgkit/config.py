@@ -146,9 +146,12 @@ def apply_updates(cfg: RunConfig, raw: dict) -> RunConfig:
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     """Read a config file on top of ``base`` (or the defaults)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
-    return apply_updates(base or RunConfig(), raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config file is not UTF-8 text: {exc}") from None
+    return apply_updates(base or RunConfig(), parse_config_text(text))
 
 
 def apply_preset(cfg: RunConfig, name: str) -> RunConfig:

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* Vectors are float64 numpy arrays of shape (3,), matrices (3, 3), (2, 2)
-  or (2, 3); no wrapper classes.
+* Vectors are float64 numpy arrays of shape (3,), matrices (3, 3); no
+  wrapper classes.
 * Quaternions are shape (4,) float64 arrays in scalar-first order
   (w, x, y, z), right-handed, acting on column vectors.
 * All functions are pure and safe to call concurrently.
@@ -28,15 +28,18 @@ QUAT_EPS = 1e-12
 
 
 def quat_normalize(q: Array) -> Array:
-    """Return q / ||q||, preserving direction.
+    """Return q / ||q|| for one quaternion (4,) or each row of (N, 4),
+    preserving direction.
 
-    Raises DegenerateQuaternion if ||q|| <= 1e-12.
+    Raises DegenerateQuaternion if any ||q|| <= 1e-12.
     """
     q = np.asarray(q, dtype=np.float64)
-    n = float(np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
-    if n <= QUAT_EPS:
-        raise DegenerateQuaternion(f"quaternion norm {n:.3e} <= {QUAT_EPS:.0e}")
-    return q / n
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    bad = n <= QUAT_EPS
+    if np.any(bad):
+        raise DegenerateQuaternion(f"quaternion norm {np.min(n[bad]):.3e} <= {QUAT_EPS:.0e}")
+    return q / n[..., None]
 
 
 def quat_to_rotmat(q: Array) -> Array:
@@ -117,18 +120,3 @@ def mat3_inverse(a: Array) -> Array:
     )
     return adj / det
 
-
-def mat2_det(a: Array) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
-def mat2_inverse(a: Array) -> Array:
-    """Closed-form 2x2 inverse; SingularMatrix if |det| <= 1e-12."""
-    a = np.asarray(a, dtype=np.float64)
-    det = mat2_det(a)
-    if abs(det) <= DET_EPS:
-        raise SingularMatrix(f"2x2 det {det:.3e} below threshold")
-    return np.array(
-        [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.float64
-    ) / det

@@ -29,17 +29,29 @@ the pixel stops early, without that splat (``t_min <= 0`` disables this).
 
 Splats are binned to every tile their coverage disc touches; the radius
 ``sqrt(max_eigenvalue(cov2d)) * max(3, sqrt(2 ln(opacity / alpha_min)))``
-makes binning lossless (any pixel outside the disc fails ``alpha_min``),
-so tiles match the brute force (:func:`rasterize_oracle`) up to 32- vs
-64-bit rounding.  A disc wholly off the map is binned nowhere.  Each tile
-is composited front to back with whole-tile array operations, as in 3D
-Gaussian Splatting (Kerbl et al., 2023): a (K splats, P pixels) float64
-alpha block, a float32 ``cumprod`` of ``1 - alpha`` for T, the early stop
-as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
-over K.  NumPy's einsum adds the K terms in order in float32 without
-BLAS, so unlike a matmul the map does not depend on BLAS threading.
-Tiles share no pixels and run one after another: maps are bit-identical
-across runs.
+makes binning lossless, so tiles match the brute force
+(:func:`rasterize_oracle`) up to 32- vs 64-bit rounding.  Each tile is
+composited front to back with whole-tile array operations, as in 3D
+Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
+``1 - alpha`` for T, the early stop as the mask ``T_after >= t_min`` (T
+never increases), and one ``einsum`` that adds the splats in order in
+float32 without BLAS, so the map does not depend on BLAS threading.
+Tiles run one after another: maps are bit-identical across runs.
+
+:func:`encode` runs on arrays, one kernel per stage: the head's scales,
+unit quaternions and features; projection to means (N, 2) and ``cov2d``
+and its adjugate inverse as (N, 3), the top-left 2 x 2 of Sigma summed
+elementwise from rows 0 and 1 of R S, not by a matmul; an ``np.lexsort``
+into blend order; binning, which culls splats below ``alpha_min`` or
+wholly off the map before any ``int`` conversion and spreads the rest
+over their tile spans by ``np.repeat`` and a stable sort by tile.  The
+blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
+``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
+summed in the formula's order.  Rows unused at every pixel of a tile
+only multiply T by 1 and add +0, so they are left out of the ``cumprod``
+and the ``einsum``.  :func:`project_to_bev`, :func:`sort_splats`,
+:func:`build_tile_grid` and :func:`rasterize` take per-splat objects
+(:class:`Splat2D`) and are thin adapters over the same kernels.
 
 Feature-map files use the ``RGFM`` format: magic, u32 version (=1),
 u32 C, u32 H, u32 W, the four range extents as little-endian float64,
@@ -56,9 +68,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import GaussianPrimitive3D, PgeParams, gfa, lfa_index_scatter, predict_attributes
-from .errors import FormatError, InvalidSpec, ShapeMismatch, SingularCovariance, SingularMatrix
-from .geom import covariance_from_scale_rot, mat2_inverse, quat_normalize, quat_to_rotmat
+from .aggregation import (
+    GaussianPrimitive3D,
+    PgeParams,
+    gfa,
+    lfa_index_scatter,
+    predict_attribute_arrays,
+)
+from .errors import FormatError, InvalidSpec, NonPositiveScale, ShapeMismatch, SingularCovariance
+from .geom import DET_EPS, quat_normalize
 from .pointcloud import BevRange, PointCloud
 
 Array = np.ndarray
@@ -151,6 +169,37 @@ class TileGrid:
     tiles: tuple
 
 
+#: (a, b, c) <-> [[a, b], [b, c]], and a, b, c of a flattened 2 x 2
+_SYM = np.array([[0, 1], [1, 2]])
+_ABC = [0, 1, 3]
+
+
+def _project(means: Array, scales: Array, quats: Array, bev: BevRange, lambda_blur: float):
+    """Pixel means (N, 2), ``cov2d`` (N, 3) as (a, b, c) of [[a, b], [b, c]]
+    and its inverse (N, 3) of N 3D Gaussians."""
+    if np.any(scales <= 0.0):
+        raise NonPositiveScale(f"scales must be positive, got {scales[scales <= 0.0].tolist()}")
+    w, x, y, z = quat_normalize(quats).T
+    s0, s1, s2 = scales.T
+    # rows 0 and 1 of R S, R as in geom.quat_to_rotmat
+    u = (1.0 - 2.0 * (y * y + z * z)) * s0, 2.0 * (x * y - w * z) * s1, 2.0 * (x * z + w * y) * s2
+    v = 2.0 * (x * y + w * z) * s0, (1.0 - 2.0 * (x * x + z * z)) * s1, 2.0 * (y * z - w * x) * s2
+    sx, sy = bev.px_per_m_x, bev.px_per_m_y
+    # a huge finite mean may overflow to inf; binning culls it as off-map.
+    # Huge scales may overflow cov2d; the determinant test rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean2d = (means[:, :2] - (bev.x_min, bev.y_min)) * (sx, sy)
+        a = (sx * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])) * sx + lambda_blur
+        b = (sx * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2])) * sy
+        c = (sy * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])) * sy + lambda_blur
+        det = a * c - b * b
+    bad = ~(np.abs(det) > DET_EPS) | (np.abs(det) == np.inf)
+    if np.any(bad):
+        raise SingularCovariance(f"projected covariance det {det[bad][0]:.3e} not invertible")
+    cov2d = np.stack([a, b, c], 1)
+    return mean2d, cov2d, cov2d[:, ::-1] * (1.0, -1.0, 1.0) / det[:, None]
+
+
 def project_to_bev(
     g: GaussianPrimitive3D,
     bev: BevRange,
@@ -158,83 +207,76 @@ def project_to_bev(
     source_index: int = 0,
 ) -> Splat2D:
     """Project one 3D Gaussian onto the BEV pixel plane."""
-    sx = bev.px_per_m_x
-    sy = bev.px_per_m_y
-    # a huge finite mean may overflow to inf; binning culls it as off-map
-    with np.errstate(over="ignore"):
-        mean2d = np.array([(g.mean[0] - bev.x_min) * sx, (g.mean[1] - bev.y_min) * sy])
-    rot = quat_to_rotmat(quat_normalize(g.quat))
-    sigma = covariance_from_scale_rot(g.scales, rot)
-    m = np.array([[sx, 0.0, 0.0], [0.0, sy, 0.0]])
-    cov2d = m @ sigma @ m.T + lambda_blur * np.eye(2)
-    try:
-        cov2d_inv = mat2_inverse(cov2d)
-    except SingularMatrix as exc:
-        raise SingularCovariance(f"projected covariance not invertible: {exc}") from None
-    return Splat2D(
-        mean2d=mean2d,
-        cov2d=cov2d,
-        cov2d_inv=cov2d_inv,
-        features=np.asarray(g.features, dtype=np.float64),
-        opacity=float(g.opacity),
-        blend_key=(float(g.mean[2]), int(source_index)),
-    )
+    row = [np.asarray(v, dtype=np.float64)[None] for v in (g.mean, g.scales, g.quat)]
+    mean2d, cov2d, inv = _project(*row, bev, lambda_blur)
+    return Splat2D(mean2d=mean2d[0], cov2d=cov2d[0][_SYM], cov2d_inv=inv[0][_SYM],
+                   features=np.asarray(g.features, dtype=np.float64), opacity=float(g.opacity),
+                   blend_key=(float(g.mean[2]), int(source_index)))
+
+
+def _columns(splats: list, name: str, *width) -> Array:
+    """One attribute of every splat as a float64 (N, *width) array."""
+    return np.array([getattr(s, name) for s in splats], dtype=np.float64).reshape(
+        len(splats), *width)
+
+
+def _splat_arrays(splats: list) -> tuple:
+    """Means (N, 2), ``cov2d`` (N, 3), inverses (N, 3) and opacities (N,)."""
+    return (_columns(splats, "mean2d", 2), _columns(splats, "cov2d", 4)[:, _ABC],
+            _columns(splats, "cov2d_inv", 4)[:, _ABC], _columns(splats, "opacity"))
+
+
+def _blend_order(z: Array, src: Array, blend_order: str) -> Array:
+    """Permutation into compositing order; ties always fall back to source index."""
+    keys = {"z-asc": (src, z), "z-desc": (src, -z), "index": (src,)}
+    if blend_order not in keys:
+        raise InvalidSpec(f"blend_order must be one of {BLEND_ORDERS}, got {blend_order!r}")
+    return np.lexsort(keys[blend_order])
 
 
 def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
     """Order splats for compositing; ties always fall back to source index."""
-    if blend_order == "z-asc":
-        return sorted(splats, key=lambda s: (s.blend_key[0], s.blend_key[1]))
-    if blend_order == "z-desc":
-        return sorted(splats, key=lambda s: (-s.blend_key[0], s.blend_key[1]))
-    if blend_order == "index":
-        return sorted(splats, key=lambda s: s.blend_key[1])
-    raise InvalidSpec(f"blend_order must be one of {BLEND_ORDERS}, got {blend_order!r}")
+    z, src = _columns(splats, "blend_key", 2).T
+    return [splats[i] for i in _blend_order(z, src, blend_order)]
 
 
-def _coverage_radius(splat: Splat2D, alpha_min: float) -> float:
-    """Pixel radius beyond which this splat cannot pass the alpha_min test,
-    never smaller than three standard deviations along the widest axis."""
-    a = splat.cov2d[0, 0]
-    b = splat.cov2d[0, 1]
-    c = splat.cov2d[1, 1]
-    mid = 0.5 * (a + c)
-    det = a * c - b * b
-    lam_max = mid + math.sqrt(max(mid * mid - det, 0.0))
-    k = 3.0
-    if splat.opacity > alpha_min:
-        k = max(3.0, math.sqrt(2.0 * math.log(splat.opacity / alpha_min)))
-    return k * math.sqrt(max(lam_max, 0.0))
+def _bin(mean2d: Array, cov2d: Array, opacity: Array, bev: BevRange, settings: RasterSettings):
+    """Bin blend-sorted splats into every tile their coverage disc touches;
+    tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending."""
+    ts = settings.tile_size
+    ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
+    a, b, c = cov2d.T
+    mx, my = mean2d.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (a + c)
+        lam_max = mid + np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
+        k = np.sqrt(2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min))
+        r = np.maximum(k, 3.0) * np.sqrt(np.maximum(lam_max, 0.0))
+        # written so that NaN fails: the culls come before any int conversion
+        keep = (opacity >= settings.alpha_min) & (mx + r >= 0) & (my + r >= 0)
+        idx = np.flatnonzero(keep & (mx - r < bev.w) & (my - r < bev.h))
+        mx, my, r = mx[idx], my[idx], r[idx]
+        tx0, tx1, ty0, ty1 = (
+            np.clip(np.floor(v / ts), 0, n - 1).astype(np.int64)
+            for v, n in ((mx - r, ntx), (mx + r, ntx), (my - r, nty), (my + r, nty))
+        )
+    nx = tx1 - tx0 + 1
+    counts = nx * (ty1 - ty0 + 1)
+    pair = np.repeat(np.arange(idx.size), counts)
+    j = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    tile = (ty0[pair] + j // nx[pair]) * ntx + tx0[pair] + j % nx[pair]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tile, minlength=ntx * nty))])
+    return idx[pair[np.argsort(tile, kind="stable")]], starts
 
 
 def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings) -> TileGrid:
-    """Bin blend-sorted splats into every tile their coverage disc touches.
-
-    Splats whose opacity already sits below ``alpha_min`` can never pass
-    the skip test, and splats whose disc lies wholly off the map cover no
-    pixel; both are binned nowhere.  The off-map test comes before any
-    conversion to ``int``, so huge or infinite means are culled, not
-    overflowed.
-    """
+    """Bin blend-sorted splats into every tile their coverage disc touches;
+    splats below ``alpha_min`` or wholly off the map are binned nowhere."""
+    mean2d, cov2d, _, opacity = _splat_arrays(sorted_splats)
+    rows, starts = _bin(mean2d, cov2d, opacity, bev, settings)
     ts = settings.tile_size
-    ntx = (bev.w + ts - 1) // ts
-    nty = (bev.h + ts - 1) // ts
-    tiles: list[list[int]] = [[] for _ in range(ntx * nty)]
-    for i, s in enumerate(sorted_splats):
-        if s.opacity < settings.alpha_min:
-            continue
-        radius = _coverage_radius(s, settings.alpha_min)
-        mx, my = s.mean2d
-        if mx + radius < 0 or my + radius < 0 or mx - radius >= bev.w or my - radius >= bev.h:
-            continue
-        tx0 = max(int(math.floor((mx - radius) / ts)), 0)
-        tx1 = min(int(math.floor((mx + radius) / ts)), ntx - 1)
-        ty0 = max(int(math.floor((my - radius) / ts)), 0)
-        ty1 = min(int(math.floor((my + radius) / ts)), nty - 1)
-        for ty in range(ty0, ty1 + 1):
-            for tx in range(tx0, tx1 + 1):
-                tiles[ty * ntx + tx].append(i)
-    return TileGrid(tile_size=ts, n_tiles_x=ntx, n_tiles_y=nty, tiles=tuple(tiles))
+    tiles = tuple(rows[starts[t]:starts[t + 1]].tolist() for t in range(len(starts) - 1))
+    return TileGrid(ts, (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts, tiles)
 
 
 def _check_splats(splats: list, channels) -> int:
@@ -251,6 +293,51 @@ def _check_splats(splats: list, channels) -> int:
     return channels
 
 
+def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatureMap:
+    """Bin and blend splats given in blend order (float32 accumulation)."""
+    rows, starts = _bin(mean2d, cov2d, opacity, bev, settings)
+    out = np.zeros((features.shape[1], bev.h, bev.w), dtype=np.float32)
+    feats32 = features.astype(np.float32)
+    ts = settings.tile_size
+    ntx = (bev.w + ts - 1) // ts
+    for t in np.flatnonzero(starts[1:] > starts[:-1]).tolist():
+        idx = rows[starts[t]:starts[t + 1]]
+        ty, tx = divmod(t, ntx)
+        r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
+        c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
+        dx = (np.arange(c0, c1) + 0.5) - mean2d[idx, 0:1]  # (K, w)
+        dy = (np.arange(r0, r1) + 0.5) - mean2d[idx, 1:2]  # (K, h)
+        ia, ib, ic = inv[idx].T[:, :, None]
+        # q = ia*dx*dx + 2*ib*(dx*dy) + ic*dy*dy, summed in that order
+        q = np.multiply(dy[:, :, None], dx[:, None, :])
+        q *= (2.0 * ib)[:, :, None]
+        q += ((ia * dx) * dx)[:, None, :]
+        q += ((ic * dy) * dy)[:, :, None]
+        q *= -0.5
+        np.exp(q, out=q)
+        q *= opacity[idx, None, None]
+        alpha = np.minimum(q, settings.alpha_max, out=q).reshape(len(idx), -1)
+        use = alpha >= settings.alpha_min
+        # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
+        # a float32 sum that starts at +0, so dropping them (before the
+        # cumprod, and again after the t_min mask) changes no bit.
+        live = np.flatnonzero(use.any(axis=1))
+        if not live.size:
+            continue
+        idx, use = idx[live], use[live]
+        alpha32 = alpha[live].astype(np.float32)
+        alpha32[~use] = 0.0
+        t_after = np.cumprod(np.float32(1.0) - alpha32, axis=0)
+        if settings.t_min > 0:
+            use &= t_after >= settings.t_min
+        alpha32[1:] *= t_after[:-1]  # alpha * T before the splat
+        alpha32[~use] = 0.0
+        live = np.flatnonzero(use.any(axis=1))
+        acc = np.einsum("kc,kp->cp", feats32[idx[live]], alpha32[live])
+        out[:, r0:r1, c0:c1] = acc.reshape(-1, r1 - r0, c1 - c0)
+    return BevFeatureMap(out, bev)
+
+
 def rasterize(
     splats: list,
     bev: BevRange,
@@ -258,51 +345,13 @@ def rasterize(
     settings: RasterSettings | None = None,
     threads: int = 1,
 ) -> BevFeatureMap:
-    """Tile-based alpha-blended rasterization (float32 accumulation): per
-    tile a (K, P) alpha block, a ``cumprod`` transmittance masked at
-    ``t_min`` and a fixed-order ``einsum`` over the K splats, not a BLAS
-    matmul, whose sum order follows its thread count.  Tiles are blended
-    one after another; ``threads`` is accepted and ignored.
-    """
+    """Tile-based alpha-blended rasterization of a list of splats, by the
+    kernels of :func:`encode`; ``threads`` is accepted and ignored."""
     settings = settings or RasterSettings()
     channels = _check_splats(splats, channels)
-    out = np.zeros((channels, bev.h, bev.w), dtype=np.float32)
     order = sort_splats(splats, settings.blend_order)
-    grid = build_tile_grid(order, bev, settings)
-    if not any(grid.tiles):
-        return BevFeatureMap(out, bev)
-
-    means = np.array([s.mean2d for s in order])
-    invs = np.array([[s.cov2d_inv[0, 0], s.cov2d_inv[0, 1], s.cov2d_inv[1, 1]] for s in order])
-    opac = np.array([s.opacity for s in order])
-    feats32 = np.array([s.features for s in order], dtype=np.float32)
-    ts = settings.tile_size
-
-    for tile_index, idxs in enumerate(grid.tiles):
-        if not idxs:
-            continue
-        idx = np.array(idxs)
-        ty, tx = divmod(tile_index, grid.n_tiles_x)
-        r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
-        c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
-        # (K, P): one row per binned splat, one column per pixel (row-major)
-        px = np.tile(np.arange(c0, c1) + 0.5, r1 - r0)
-        py = np.repeat(np.arange(r0, r1) + 0.5, c1 - c0)
-        dx = px - means[idx, 0:1]
-        dy = py - means[idx, 1:2]
-        ia, ib, ic = invs[idx].T[:, :, None]
-        q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
-        alpha = np.minimum(opac[idx, None] * np.exp(-0.5 * q), settings.alpha_max)
-        use = alpha >= settings.alpha_min
-        alpha32 = np.where(use, alpha, 0.0).astype(np.float32)
-        t_after = np.cumprod(np.float32(1.0) - alpha32, axis=0)
-        if settings.t_min > 0:
-            use &= t_after >= settings.t_min
-        t_before = np.vstack([np.ones_like(t_after[:1]), t_after[:-1]])
-        weight = np.where(use, alpha32 * t_before, np.float32(0.0))
-        acc = np.einsum("kc,kp->cp", feats32[idx], weight)
-        out[:, r0:r1, c0:c1] = acc.reshape(channels, r1 - r0, c1 - c0)
-    return BevFeatureMap(out, bev)
+    features = _columns(order, "features", channels)
+    return _composite(*_splat_arrays(order), features, bev, settings)
 
 
 def rasterize_oracle(
@@ -346,11 +395,11 @@ def encode(
     settings = settings or RasterSettings()
     f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
     f_gfa = gfa(cloud, params.attn)
-    prims = predict_attributes(cloud, f_lfa, f_gfa, params.head, params.s_min)
-    splats = [
-        project_to_bev(g, bev, settings.lambda_blur, i) for i, g in enumerate(prims)
-    ]
-    return rasterize(splats, bev, params.feature_dim, settings)
+    scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head, params.s_min)
+    pos = cloud.positions
+    mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
+    o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
+    return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev, settings)
 
 
 def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:
@@ -404,7 +453,8 @@ def write_feature_map(fmap: BevFeatureMap, path) -> None:
                 fmap.bev.y_max,
             )
         )
-        fh.write(np.ascontiguousarray(fmap.data, dtype="<f4").tobytes())
+        # straight from the array's buffer, no bytes copy of the payload
+        np.ascontiguousarray(fmap.data, dtype="<f4").tofile(fh)
 
 
 def read_feature_map(path) -> BevFeatureMap:

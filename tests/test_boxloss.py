@@ -205,10 +205,11 @@ def test_bgl_validation():
         bgl(boxes, boxes, ["car", "car"], cfg)
     with pytest.raises(EmptyBatch):
         bgl([], [], None, cfg)
-    with pytest.raises(InvalidSpec):
-        BglConfig(a_per_class={"car": 0.0})
-    with pytest.raises(InvalidSpec):
-        BglConfig(a_per_class={}, a_default=0.0)
+    for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            BglConfig(a_per_class={"car": bad})
+        with pytest.raises(InvalidSpec):
+            BglConfig(a_per_class={}, a_default=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +249,7 @@ def test_gradient_sharpness_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidSpec):
             bgl_gradient(box, box, a=bad)
-    # BglConfig rejects a <= 0 and NaN itself; an infinite a reaches bgl
-    with pytest.raises(InvalidSpec):
-        bgl([box], [box], None, BglConfig({}, math.inf))
-    with pytest.raises(InvalidSpec):
-        bgl([box], [box], ["car"], BglConfig({"car": math.inf}))
+    # a BglConfig cannot carry such an a to bgl (test_bgl_validation)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +423,13 @@ def test_overflowing_boxes_are_invalid_spec():
             bgl([unit, pred], [unit, gt], None, default_config())
         with pytest.raises(InvalidSpec):
             bgl_gradient(pred, gt, 1.0)
+    # the dense oracle: (l/2a)^2 or (l w h / (2a)^3)^2 leaves float64
+    big = Box3D(0, 0, 0, 1e110, 1e110, 1e110, 0)
+    for box, a in ((unit, 1e103), (huge, 1.0), (big, 1.0)):
+        with pytest.raises(InvalidSpec):
+            box_to_gaussian(box, a)
+        with pytest.raises(InvalidSpec):
+            fd_gradient(unit, box, a)
 
 
 # ---------------------------------------------------------------------------

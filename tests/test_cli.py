@@ -219,6 +219,21 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    # it died with a raw UnicodeDecodeError, exit 1
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"r = 1\n\xff")
+    assert main(["generate", "--out", "x", "--n", "10", "--config", str(cfg_file)]) == 2
+    assert "FormatError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item", ["a_default=inf", "a_car=inf", "a_default=-inf"])
+def test_infinite_box_sharpness_exits_2(item, capsys):
+    # it was accepted until a loss was evaluated
+    assert main(["bgl", "--pred", "p", "--gt", "g", "--set", item, "--dump-config"]) == 2
+    assert "every a must be finite and > 0" in capsys.readouterr().err
+
+
 def test_config_defaults_are_the_owning_definitions():
     assert RunConfig().raster_settings() == RasterSettings()
     assert RunConfig().bev() == DEFAULT_RANGE

@@ -8,8 +8,6 @@ import pytest
 from rgkit.errors import DegenerateQuaternion, NonPositiveScale, SingularMatrix
 from rgkit.geom import (
     covariance_from_scale_rot,
-    mat2_det,
-    mat2_inverse,
     mat3_det,
     mat3_inverse,
     quat_normalize,
@@ -38,6 +36,15 @@ def test_quat_normalize_rejects_zero():
         quat_normalize(np.zeros(4))
     with pytest.raises(DegenerateQuaternion):
         quat_normalize(np.full(4, 1e-13))
+    with pytest.raises(DegenerateQuaternion):
+        quat_normalize(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
+def test_quat_normalize_rows_match_one_at_a_time():
+    q = _gen("quat-rows").normals(4 * 50).reshape(50, 4) * 1e3
+    rows = quat_normalize(q)
+    assert rows.shape == (50, 4)
+    assert all(np.array_equal(rows[i], quat_normalize(q[i])) for i in range(50))
 
 
 def test_quat_to_rotmat_identity_and_z_quarter_turn():
@@ -102,10 +109,3 @@ def test_mat3_inverse_rejects_singular():
     with pytest.raises(SingularMatrix):
         mat3_inverse(singular)
 
-
-def test_mat2_det_inverse():
-    a = np.array([[3.0, 1.0], [2.0, 4.0]])
-    assert mat2_det(a) == 10.0
-    assert np.allclose(mat2_inverse(a) @ a, np.eye(2), atol=1e-15)
-    with pytest.raises(SingularMatrix):
-        mat2_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))

@@ -1,7 +1,8 @@
-"""Property tests of the box-loss input contract: on adversarial values,
-``read_boxes``, ``bgl`` and ``bgl_gradient`` return a finite result or
-raise a typed ``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4, never 1.
-A leaked NumPy ``RuntimeWarning`` fails these tests too (see pyproject)."""
+"""Property tests of the input contract: on adversarial values,
+``read_boxes``, ``bgl``, ``bgl_gradient`` and ``encode`` return a finite
+result or raise a typed ``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4,
+never 1.  A leaked NumPy ``RuntimeWarning`` fails these tests too (see
+pyproject)."""
 
 import contextlib
 import io
@@ -13,9 +14,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rgkit.aggregation import init_weights
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
 from rgkit.errors import RgkError
+from rgkit.pointcloud import BevRange, PointCloud
+from rgkit.splat import BLEND_ORDERS, RasterSettings, encode
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -91,3 +95,34 @@ def test_rgk_bgl_exits_0_2_3_or_4(triples, a_default):
             code = main(argv)
     assert code in (0, 2, 3, 4), err.getvalue()
     assert code == 0 or err.getvalue().startswith("error: ")
+
+
+#: coordinates on the map, off it, at the map edges, tiny and huge
+coordinate = st.one_of(
+    st.floats(-40.0, 80.0),
+    st.sampled_from([0.0, -0.0, 12.8, -12.8, 25.6, 5e-324, 1e-300, 1e150, -1e150, 1e300,
+                     -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+points = st.tuples(coordinate, coordinate, coordinate)
+clouds = st.one_of(
+    st.lists(points, max_size=12),  # includes the empty cloud and one point
+    st.tuples(points, st.integers(2, 6)).map(lambda pn: [pn[0]] * pn[1]),  # duplicates
+    st.lists(points, min_size=1, max_size=4).map(lambda ps: ps + ps[:1]),
+)
+_ENCODE_BEV = BevRange(0.0, 25.6, -12.8, 12.8, 24, 20)  # 5 x 6 tiles of 4 px, 0.78/0.94 px/m
+_ENCODE_PARAMS = init_weights(3, c_raw=2, c=8)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clouds, st.sampled_from(BLEND_ORDERS), st.sampled_from([1e-4, 0.0]))
+def test_encode_is_a_finite_map_or_a_typed_error(cloud_points, blend_order, t_min):
+    pos = np.array(cloud_points, dtype=np.float64).reshape(-1, 3)
+    feats = np.linspace(-1.0, 1.0, 2 * len(pos)).reshape(-1, 2)
+    settings_ = RasterSettings(t_min=t_min, tile_size=4, blend_order=blend_order)
+    try:
+        fmap = encode(PointCloud(pos, feats), _ENCODE_PARAMS, _ENCODE_BEV, settings_)
+    except RgkError:
+        return
+    assert fmap.data.shape == (_ENCODE_PARAMS.feature_dim, 24, 20)
+    assert np.all(np.isfinite(fmap.data))

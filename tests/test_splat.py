@@ -2,23 +2,32 @@
 pillar baseline, encoder determinism, and map file formats."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from rgkit.aggregation import GaussianPrimitive3D, init_weights
+from rgkit.aggregation import (
+    GaussianPrimitive3D,
+    gfa,
+    init_weights,
+    lfa_index_scatter,
+    softplus,
+)
 from rgkit.errors import (
     FormatError,
     InvalidSpec,
     ShapeMismatch,
     SingularCovariance,
 )
-from rgkit.geom import quat_normalize
+from rgkit.geom import covariance_from_scale_rot, quat_normalize, quat_to_rotmat
 from rgkit.pointcloud import BevRange, PointCloud, SceneSpec, generate_scene
 from rgkit.rng import SplitMix64, stream_seed
 from rgkit.splat import (
+    BLEND_ORDERS,
     BevFeatureMap,
     RasterSettings,
+    Splat2D,
     build_tile_grid,
     encode,
     nonzero_pixels,
@@ -101,6 +110,11 @@ def test_projection_rejects_vanishing_footprint():
     with pytest.raises(SingularCovariance):
         project_to_bev(_prim([0.0, 0.0, 0.0], scales=(1e-9, 1e-9, 1e-9)), VOD,
                        lambda_blur=0.0)
+    # a footprint whose covariance leaves float64 has no usable inverse either
+    for scales in ((1e200, 1.0, 1.0), (1e160, 1e160, 1.0)):
+        with pytest.raises(SingularCovariance):
+            project_to_bev(_prim([0.0, 0.0, 0.0], scales=scales,
+                                 quat=quat_normalize(np.array([1.0, 0.2, 0.3, 0.4]))), VOD)
 
 
 def test_sort_splats_orders_and_ties():
@@ -361,6 +375,197 @@ def test_encode_threads_bit_identical():
     cloud = generate_scene(SceneSpec(seed=73, n_points=150))
     params = init_weights(73, c_raw=4, c=16)
     assert encode(cloud, params, VOD, threads=1) == encode(cloud, params, VOD, threads=8)
+
+
+# ---------------------------------------------------------------------------
+# The array path against the per-object pipeline it replaced
+#
+# A copy of the pipeline as it was before encode ran on arrays: one object
+# per primitive with a matmul per covariance, Python ``sorted``, a binning
+# loop over splats and the tile loop.  The array path must give its bytes.
+
+
+def _ref_quat_normalize(q):
+    n = float(np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]))
+    return q / n
+
+
+def _ref_project(g, bev, lambda_blur, source_index):
+    sx, sy = bev.px_per_m_x, bev.px_per_m_y
+    with np.errstate(over="ignore"):
+        mean2d = np.array([(g.mean[0] - bev.x_min) * sx, (g.mean[1] - bev.y_min) * sy])
+    sigma = covariance_from_scale_rot(g.scales, quat_to_rotmat(_ref_quat_normalize(g.quat)))
+    m = np.array([[sx, 0.0, 0.0], [0.0, sy, 0.0]])
+    cov2d = m @ sigma @ m.T + lambda_blur * np.eye(2)
+    det = cov2d[0, 0] * cov2d[1, 1] - cov2d[0, 1] * cov2d[1, 0]
+    assert abs(det) > 1e-12
+    inv = np.array([[cov2d[1, 1], -cov2d[0, 1]], [-cov2d[1, 0], cov2d[0, 0]]]) / det
+    return Splat2D(mean2d, cov2d, inv, np.asarray(g.features, dtype=np.float64),
+                   float(g.opacity), (float(g.mean[2]), int(source_index)))
+
+
+def _ref_sort(splats, blend_order):
+    keys = {"z-asc": lambda s: s.blend_key, "z-desc": lambda s: (-s.blend_key[0], s.blend_key[1]),
+            "index": lambda s: s.blend_key[1]}
+    return sorted(splats, key=keys[blend_order])
+
+
+def _ref_bin(ordered, bev, settings):
+    ts = settings.tile_size
+    ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
+    tiles = [[] for _ in range(ntx * nty)]
+    for i, s in enumerate(ordered):
+        if s.opacity < settings.alpha_min:
+            continue
+        a, b, c = s.cov2d[0, 0], s.cov2d[0, 1], s.cov2d[1, 1]
+        mid = 0.5 * (a + c)
+        lam_max = mid + math.sqrt(max(mid * mid - (a * c - b * b), 0.0))
+        k = 3.0
+        if s.opacity > settings.alpha_min:
+            k = max(3.0, math.sqrt(2.0 * math.log(s.opacity / settings.alpha_min)))
+        radius = k * math.sqrt(max(lam_max, 0.0))
+        mx, my = s.mean2d
+        if mx + radius < 0 or my + radius < 0 or mx - radius >= bev.w or my - radius >= bev.h:
+            continue
+        for ty in range(max(math.floor((my - radius) / ts), 0),
+                        min(math.floor((my + radius) / ts), nty - 1) + 1):
+            for tx in range(max(math.floor((mx - radius) / ts), 0),
+                            min(math.floor((mx + radius) / ts), ntx - 1) + 1):
+                tiles[ty * ntx + tx].append(i)
+    return tiles
+
+
+def _ref_rasterize(splats, bev, channels, settings):
+    out = np.zeros((channels, bev.h, bev.w), dtype=np.float32)
+    order = _ref_sort(splats, settings.blend_order)
+    ts = settings.tile_size
+    ntx = (bev.w + ts - 1) // ts
+    means = np.array([s.mean2d for s in order])
+    invs = np.array([[s.cov2d_inv[0, 0], s.cov2d_inv[0, 1], s.cov2d_inv[1, 1]] for s in order])
+    opac = np.array([s.opacity for s in order])
+    feats32 = np.array([s.features for s in order], dtype=np.float32)
+    for tile_index, idxs in enumerate(_ref_bin(order, bev, settings)):
+        if not idxs:
+            continue
+        idx = np.array(idxs)
+        ty, tx = divmod(tile_index, ntx)
+        r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
+        c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
+        px = np.tile(np.arange(c0, c1) + 0.5, r1 - r0)
+        py = np.repeat(np.arange(r0, r1) + 0.5, c1 - c0)
+        dx = px - means[idx, 0:1]
+        dy = py - means[idx, 1:2]
+        ia, ib, ic = invs[idx].T[:, :, None]
+        q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
+        alpha = np.minimum(opac[idx, None] * np.exp(-0.5 * q), settings.alpha_max)
+        use = alpha >= settings.alpha_min
+        alpha32 = np.where(use, alpha, 0.0).astype(np.float32)
+        t_after = np.cumprod(np.float32(1.0) - alpha32, axis=0)
+        if settings.t_min > 0:
+            use &= t_after >= settings.t_min
+        t_before = np.vstack([np.ones_like(t_after[:1]), t_after[:-1]])
+        weight = np.where(use, alpha32 * t_before, np.float32(0.0))
+        acc = np.einsum("kc,kp->cp", feats32[idx], weight)
+        out[:, r0:r1, c0:c1] = acc.reshape(channels, r1 - r0, c1 - c0)
+    return out
+
+
+def _ref_encode(cloud, params, bev, settings):
+    f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
+    f_gfa = gfa(cloud, params.attn)
+    raw = params.head.apply(np.concatenate([cloud.features, f_lfa, f_gfa], axis=1))
+    scales = softplus(raw[:, :3]) + params.s_min
+    prims = [GaussianPrimitive3D(cloud.positions[i].copy(), scales[i],
+                                 _ref_quat_normalize(raw[i, 3:7]), 1.0, raw[i, 7:].copy())
+             for i in range(len(cloud))]
+    splats = [_ref_project(g, bev, settings.lambda_blur, i) for i, g in enumerate(prims)]
+    return _ref_rasterize(splats, bev, params.feature_dim, settings)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), f"{np.count_nonzero(got != want)} values differ"
+
+
+@pytest.mark.parametrize("blend_order", BLEND_ORDERS)
+@pytest.mark.parametrize("t_min", [1e-4, 0.0, -1.0])
+@pytest.mark.parametrize("seed", [70, 73])
+def test_encode_matches_per_object_pipeline_bytes(seed, t_min, blend_order):
+    cloud = generate_scene(SceneSpec(seed=seed, n_points=150))
+    params = init_weights(seed, c_raw=4, c=16)
+    settings = RasterSettings(t_min=t_min, blend_order=blend_order)
+    _assert_same_bytes(encode(cloud, params, VOD, settings).data,
+                       _ref_encode(cloud, params, VOD, settings))
+
+
+TJ4D = BevRange(0.0, 69.12, -39.68, 39.68, 432, 496)  # the tj4d preset: 7.18 x 5.44 px/m
+
+
+@pytest.mark.parametrize("blend_order,t_min", [("z-asc", 1e-4), ("z-desc", 1e-4),
+                                               ("index", 1e-4), ("z-asc", 0.0)])
+def test_encode_matches_per_object_pipeline_bytes_on_a_dense_tj4d_frame(blend_order, t_min):
+    # 2500 points in 5 tight clusters: hundreds of splats per tile, as in
+    # the benchmark's tj4d-dense frames
+    cloud = generate_scene(SceneSpec(seed=74, n_points=2500, n_clusters=5, cluster_sigma=0.5,
+                                     bev=TJ4D, z_min=-4.0, z_max=2.0))
+    params = init_weights(0, c_raw=4, c=64)
+    settings = RasterSettings(t_min=t_min, blend_order=blend_order)
+    _assert_same_bytes(encode(cloud, params, TJ4D, settings).data,
+                       _ref_encode(cloud, params, TJ4D, settings))
+
+
+def _disc_splat(mx, my, opacity=0.3, var=4.0, key=0):
+    """Isotropic splat; at opacity <= alpha_min e^4.5 its coverage radius is
+    exactly 3 sqrt(var) (6 px by default)."""
+    cov = np.diag([var, var])
+    return Splat2D(np.array([mx, my]), cov, np.linalg.inv(cov), np.ones(1), opacity, (0.0, key))
+
+
+@pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
+def test_array_binning_matches_per_splat_loop(tile_size):
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)  # partial last tile row and column
+    splats = _random_splats(90, 60, bev)
+    # discs whose edges fall exactly on tile borders and on the map border
+    for x in (-6.0, -6.000001, 0.0, 2.0, 4.0, 10.0, 16.0, 34.0, 39.5, 46.0, 46.000001):
+        for y in (-6.0, 4.0, 20.0, 42.9999, 43.0):
+            splats.append(_disc_splat(x, y, key=len(splats)))
+    # huge and infinite means, opacity at and below alpha_min, huge discs
+    amin = RasterSettings().alpha_min
+    for mean in ((1e308, 5.0), (-1e308, 5.0), (5.0, 1e308), (np.inf, 5.0), (5.0, -np.inf)):
+        splats.append(_disc_splat(*mean, key=len(splats)))
+    for opacity in (amin, np.nextafter(amin, 0.0), 0.0, np.nextafter(amin, 1.0), 1.0):
+        splats.append(_disc_splat(12.0, 12.0, opacity=opacity, key=len(splats)))
+    splats += [_disc_splat(-1e40, 20.0, var=1e90, key=len(splats)),
+               _disc_splat(20.0, 20.0, var=1e100, key=len(splats) + 1)]
+    settings = RasterSettings(tile_size=tile_size)
+    for blend_order in BLEND_ORDERS:
+        ordered = sort_splats(splats, blend_order)
+        assert [s.blend_key for s in ordered] == [
+            s.blend_key for s in _ref_sort(splats, blend_order)]
+        assert list(build_tile_grid(ordered, bev, settings).tiles) == _ref_bin(
+            ordered, bev, settings)
+
+
+def test_tile_whose_rows_all_fail_alpha_min_writes_exact_zeros():
+    # opacity 1.2 alpha_min bins the disc out to 3 sigma, but alpha reaches
+    # alpha_min only within 0.6 sigma: the mean's pixel, in one tile of four
+    settings = RasterSettings(t_min=0.0, lambda_blur=0.0, tile_size=4)
+    prim = _prim([5.5, 0.5, 0.0], scales=(1.0, 1.0, 1.0), opacity=1.2 / 255.0,
+                 features=(-2.0,))
+    splat = project_to_bev(prim, SMALL, lambda_blur=0.0)
+    assert sum(1 for t in build_tile_grid([splat], SMALL, settings).tiles if t) == 6
+    fmap = rasterize([splat], SMALL, channels=1, settings=settings)
+    assert np.count_nonzero(fmap.data) == 1 and fmap.data[0, 8, 5] < 0
+    assert not np.signbit(np.delete(fmap.data.ravel(), 8 * 16 + 5)).any()  # +0.0, not -0.0
+
+
+def test_write_feature_map_bytes(tmp_path):
+    bev = BevRange(0.0, 4.0, 0.0, 3.0, 3, 4)
+    data = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4) - 7.5
+    path = tmp_path / "m.rgfm"
+    write_feature_map(BevFeatureMap(data, bev), path)
+    header = b"RGFM" + struct.pack("<IIII4d", 1, 2, 3, 4, 0.0, 4.0, 0.0, 3.0)
+    assert path.read_bytes() == header + data.astype("<f4").tobytes()
 
 
 # ---------------------------------------------------------------------------
