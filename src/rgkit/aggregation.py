@@ -28,6 +28,8 @@ joint projection; ``f2 = SelfAttn(Q, K, V) + f1``;
 ``out = FFN(LayerNorm(f2)) + f2``, where SelfAttn is
 ``softmax(Q K^T / sqrt(d_head)) V`` per head, heads concatenated and
 output-projected, and the FFN is two linear layers around an exact GELU.
+It runs factored through ``LayerNorm(f1) = Z G``, Z of rank ``c_raw + 2``,
+over blocks of query rows (Rabe & Staats, 2021) that ``mem_cap`` bounds.
 
 :func:`predict_attribute_arrays` turns aggregated features into the
 arrays of renderable Gaussian primitives: positive scales via softplus
@@ -62,8 +64,10 @@ DEFAULT_RADIUS = 0.32
 DEFAULT_DIM = 64
 #: Additive floor applied to softplus scale outputs (meters).
 SCALE_FLOOR = 1e-3
-#: Default cap for the dense broadcast buffers (bytes).
+#: Default cap for the dense broadcast buffers and attention score blocks (bytes).
 DEFAULT_MEM_CAP = 1 << 30
+#: Query rows per attention score block; a small block stays resident in cache.
+GFA_ROWS = 64
 
 _W_MAGIC = b"RGWT"
 _W_VERSION = 1
@@ -111,7 +115,7 @@ class LinearLayer:
             )
         out = x @ self.weight.T
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
 
@@ -144,20 +148,14 @@ class LayerNormParams:
 
 def gelu(x: Array) -> Array:
     """Exact Gaussian-error linear unit: ``0.5 * x * (1 + erf(x / sqrt(2)))``."""
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    y = erf(x / math.sqrt(2.0)) + 1.0
+    y *= 0.5 * x
+    return y
 
 
 def softplus(x: Array) -> Array:
     """Overflow-safe ``log(1 + exp(x))``."""
     return np.logaddexp(0.0, x)
-
-
-def _softmax_rows(x: Array) -> Array:
-    """Row softmax, computed in place in ``x`` and returned."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
 
 
 @dataclass(frozen=True)
@@ -395,8 +393,9 @@ def lfa_index_scatter(cloud: PointCloud, layer: LinearLayer, r: float) -> Array:
 # Global feature aggregation
 
 
-def gfa(cloud: PointCloud, block: AttentionBlock) -> Array:
-    """Self-attention over all points of the cloud; returns (N, dim)."""
+def gfa(cloud: PointCloud, block: AttentionBlock, mem_cap: int = DEFAULT_MEM_CAP) -> Array:
+    """Self-attention over all points of the cloud; returns (N, dim).  Scores
+    are built ``min(GFA_ROWS, mem_cap // (8 N))`` query rows at a time."""
     if cloud.c_raw != block.input_proj.in_dim:
         raise ShapeMismatch(
             f"attention block expects {block.input_proj.in_dim} raw channels, "
@@ -405,16 +404,36 @@ def gfa(cloud: PointCloud, block: AttentionBlock) -> Array:
     n = len(cloud)
     if n == 0:
         return np.zeros((0, block.dim))
-    f1 = block.input_proj.apply(cloud.features)
-    qkv = block.qkv.apply(block.ln1.apply(f1))
-    q, k, v = np.split(qkv, 3, axis=1)
+    rows = min(GFA_ROWS, mem_cap // (8 * n))
+    if rows < 1:
+        raise AllocationLimit(f"one attention score row needs {8 * n} bytes, cap is {mem_cap}")
+    proj, ln1 = block.input_proj, block.ln1
+    f1 = proj.apply(cloud.features)
+    # LN1(f1) = Z G with Z = [F / sigma, 1 / sigma, 1]: f1 minus its row mean
+    # is F (W^T - row means) + (b - mean b), an affine map of F
+    sigma = np.sqrt(np.square(f1 - f1.mean(axis=1, keepdims=True)).mean(axis=1) + ln1.eps)
+    z = np.concatenate([cloud.features, np.ones((n, 2))], axis=1)
+    z[:, :-1] /= sigma[:, None]
+    wt = np.vstack([proj.weight.T, np.zeros(block.dim) if proj.bias is None else proj.bias])
+    g = np.vstack([(wt - wt.mean(axis=1, keepdims=True)) * ln1.gamma, ln1.beta])
+    g_qkv = g @ block.qkv.weight.T
+    if block.qkv.bias is not None:
+        g_qkv[-1] += block.qkv.bias
+    g_q, g_k, g_v = np.split(g_qkv, 3, axis=1)
     d_head = block.dim // block.n_heads
-    heads_out = np.empty_like(q)
+    zt = np.ascontiguousarray(z.T)
+    scores = np.empty((rows, n))
+    heads_out = np.empty((n, block.dim))
     for h in range(block.n_heads):
         sl = slice(h * d_head, (h + 1) * d_head)
-        scores = q[:, sl] @ k[:, sl].T
-        scores /= math.sqrt(d_head)
-        heads_out[:, sl] = _softmax_rows(scores) @ v[:, sl]
+        # the ones column of Z makes the last column of E Z the row sums of E
+        za = z @ (g_q[:, sl] @ g_k[:, sl].T / math.sqrt(d_head))
+        for r0 in range(0, n, rows):
+            e = np.matmul(za[r0:r0 + rows], zt, out=scores[:min(rows, n - r0)])
+            e -= e.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            ez = e @ z
+            heads_out[r0:r0 + rows, sl] = (ez @ g_v[:, sl]) / ez[:, -1:]
     f2 = block.out_proj.apply(heads_out) + f1
     hidden = gelu(block.ffn1.apply(block.ln2.apply(f2)))
     return block.ffn2.apply(hidden) + f2

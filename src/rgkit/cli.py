@@ -120,7 +120,7 @@ def cmd_encode(args) -> int:
     params = init_weights(
         seed, c_raw=cloud.c_raw, c=cfg.c, n_heads=cfg.n_heads, r=cfg.r, s_min=cfg.s_min
     )
-    fmap = encode(cloud, params, cfg.bev(), cfg.raster_settings())
+    fmap = encode(cloud, params, cfg.bev(), cfg.raster_settings(), mem_cap=cfg.mem_cap)
     write_feature_map(fmap, args.out)
     print(f"wrote {args.out} (channels={fmap.channels}, h={cfg.h}, w={cfg.w})")
     print(f"nonzero_pixels = {nonzero_pixels(fmap)}")

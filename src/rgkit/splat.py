@@ -27,16 +27,21 @@ splats with ``alpha < alpha_min`` are skipped, the rest accumulate
 over the splats used before ``i``; once ``T`` would drop below ``t_min``
 the pixel stops early, without that splat (``t_min <= 0`` disables this).
 
-Splats are binned to every tile their coverage disc touches; the radius
-``sqrt(max_eigenvalue(cov2d)) * max(3, sqrt(2 ln(opacity / alpha_min)))``
-makes binning lossless, so tiles match the brute force
+Splats are binned to every tile whose rectangle of pixel centres brings
+``d^T cov2d_inv d`` down to ``2 ln(opacity / alpha_min)`` (plus a float64
+margin), the exact ellipse-tile test of FlashGS (Feng et al., 2024): the
+minimum is 0 with the mean inside, else the least of four clamped 1-D edge
+minima.  Binning is lossless, so tiles match the brute force
 (:func:`rasterize_oracle`) up to 32- vs 64-bit rounding.  Each tile is
 composited front to back with whole-tile array operations, as in 3D
 Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
-``1 - alpha`` for T, the early stop as the mask ``T_after >= t_min`` (T
-never increases), and one ``einsum`` that adds the splats in order in
-float32 without BLAS, so the map does not depend on BLAS threading.
-Tiles run one after another: maps are bit-identical across runs.
+``1 - alpha`` for T in blocks of 64 rows, each carrying the previous
+block's last T (a carried T below ``t_min`` feeds only masked entries and
+is flushed to +0, which keeps T out of float32 subnormals), the early stop
+as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
+that adds the splats in order in float32 without BLAS, so the map does not
+depend on BLAS threading.  Tiles run one after another: maps are
+bit-identical across runs.
 
 :func:`encode` runs on arrays, one kernel per stage: the head's scales,
 unit quaternions and features; projection to means (N, 2) and ``cov2d``
@@ -44,8 +49,8 @@ and its adjugate inverse as (N, 3), the top-left 2 x 2 of Sigma summed
 elementwise from rows 0 and 1 of R S, not by a matmul; an ``np.lexsort``
 into blend order; binning, which culls splats below ``alpha_min`` or
 wholly off the map before any ``int`` conversion and spreads the rest
-over their tile spans by ``np.repeat`` and a stable sort by tile.  The
-blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
+over their coverage discs' tile spans by ``np.repeat`` for the exact test.
+The blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
 ``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
 summed in the formula's order.  Rows unused at every pixel of a tile
 only multiply T by 1 and add +0, so they are left out of the ``cumprod``
@@ -69,6 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import (
+    DEFAULT_MEM_CAP,
     GaussianPrimitive3D,
     PgeParams,
     gfa,
@@ -240,18 +246,19 @@ def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
     return [splats[i] for i in _blend_order(z, src, blend_order)]
 
 
-def _bin(mean2d: Array, cov2d: Array, opacity: Array, bev: BevRange, settings: RasterSettings):
-    """Bin blend-sorted splats into every tile their coverage disc touches;
-    tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending."""
+def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings):
+    """Bin blend-sorted splats into every tile where their alpha can reach
+    ``alpha_min``; tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending."""
     ts = settings.tile_size
     ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
     a, b, c = cov2d.T
     mx, my = mean2d.T
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mid = 0.5 * (a + c)
         lam_max = mid + np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-        k = np.sqrt(2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min))
-        r = np.maximum(k, 3.0) * np.sqrt(np.maximum(lam_max, 0.0))
+        # alpha >= alpha_min exactly where d^T inv d <= k2
+        k2 = 2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min)
+        r = np.sqrt(np.maximum(k2, 9.0)) * np.sqrt(np.maximum(lam_max, 0.0))
         # written so that NaN fails: the culls come before any int conversion
         keep = (opacity >= settings.alpha_min) & (mx + r >= 0) & (my + r >= 0)
         idx = np.flatnonzero(keep & (mx - r < bev.w) & (my - r < bev.h))
@@ -260,20 +267,36 @@ def _bin(mean2d: Array, cov2d: Array, opacity: Array, bev: BevRange, settings: R
             np.clip(np.floor(v / ts), 0, n - 1).astype(np.int64)
             for v, n in ((mx - r, ntx), (mx + r, ntx), (my - r, nty), (my + r, nty))
         )
-    nx = tx1 - tx0 + 1
-    counts = nx * (ty1 - ty0 + 1)
-    pair = np.repeat(np.arange(idx.size), counts)
-    j = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    tile = (ty0[pair] + j // nx[pair]) * ntx + tx0[pair] + j % nx[pair]
+        # candidates: every tile the coverage disc touches
+        nx = tx1 - tx0 + 1
+        counts = nx * (ty1 - ty0 + 1)
+        pair = np.repeat(np.arange(idx.size), counts)
+        j = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ty, tx = ty0[pair] + j // nx[pair], tx0[pair] + j % nx[pair]
+        # the tile's pixel centres lie at offsets [u0, u1] x [v0, v1] from the mean
+        u0, u1 = (tx * ts + 0.5) - mx[pair], (np.minimum(tx * ts + ts, bev.w) - 0.5) - mx[pair]
+        v0, v1 = (ty * ts + 0.5) - my[pair], (np.minimum(ty * ts + ts, bev.h) - 0.5) - my[pair]
+        (ia, ib, ic), k2 = inv[idx[pair]].T, k2[idx[pair]]
+        # with ia, ic > 0 the minimum over the rectangle is at most 0 with the
+        # mean inside, else the least of the four edges' clamped minima; the
+        # margin covers float64 rounding here and in the blend.  NaN keeps a pair.
+        u = np.array([u0, u1, np.clip(-(ib * v0) / ia, u0, u1), np.clip(-(ib * v1) / ia, u0, u1)])
+        v = np.array([np.clip(-(ib * u0) / ic, v0, v1), np.clip(-(ib * u1) / ic, v0, v1), v0, v1])
+        qmin = ((ia * u) * u + 2.0 * ib * (u * v) + (ic * v) * v).min(axis=0)
+        qmin[(u0 <= 0) & (u1 >= 0) & (v0 <= 0) & (v1 >= 0)] = 0.0
+        margin = 1e-12 * (1 + k2 + ia * np.maximum(u0 * u0, u1 * u1)
+                          + ic * np.maximum(v0 * v0, v1 * v1))
+        hit = ~((ia > 0) & (ic > 0) & (qmin > k2 + margin))
+    pair, tile = pair[hit], (ty * ntx + tx)[hit]
     starts = np.concatenate([[0], np.cumsum(np.bincount(tile, minlength=ntx * nty))])
     return idx[pair[np.argsort(tile, kind="stable")]], starts
 
 
 def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings) -> TileGrid:
-    """Bin blend-sorted splats into every tile their coverage disc touches;
-    splats below ``alpha_min`` or wholly off the map are binned nowhere."""
-    mean2d, cov2d, _, opacity = _splat_arrays(sorted_splats)
-    rows, starts = _bin(mean2d, cov2d, opacity, bev, settings)
+    """Bin blend-sorted splats into every tile where their alpha can reach
+    ``alpha_min``; splats below it or wholly off the map are binned nowhere."""
+    mean2d, cov2d, inv, opacity = _splat_arrays(sorted_splats)
+    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
     ts = settings.tile_size
     tiles = tuple(rows[starts[t]:starts[t + 1]].tolist() for t in range(len(starts) - 1))
     return TileGrid(ts, (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts, tiles)
@@ -295,45 +318,61 @@ def _check_splats(splats: list, channels) -> int:
 
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatureMap:
     """Bin and blend splats given in blend order (float32 accumulation)."""
-    rows, starts = _bin(mean2d, cov2d, opacity, bev, settings)
+    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
     out = np.zeros((features.shape[1], bev.h, bev.w), dtype=np.float32)
     feats32 = features.astype(np.float32)
-    ts = settings.tile_size
+    ts, t_min = settings.tile_size, np.float32(settings.t_min)
     ntx = (bev.w + ts - 1) // ts
-    for t in np.flatnonzero(starts[1:] > starts[:-1]).tolist():
+    sizes = np.diff(starts)
+    size = int(sizes.max(initial=0)) * ts * ts  # per-pixel buffers for the deepest tile
+    qbuf, ubuf = np.empty(size), np.empty(size, dtype=bool)
+    wbuf, tbuf = np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32)
+    for t in np.flatnonzero(sizes).tolist():
         idx = rows[starts[t]:starts[t + 1]]
         ty, tx = divmod(t, ntx)
         r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
         c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
+        k, n = len(idx), (r1 - r0) * (c1 - c0)
         dx = (np.arange(c0, c1) + 0.5) - mean2d[idx, 0:1]  # (K, w)
         dy = (np.arange(r0, r1) + 0.5) - mean2d[idx, 1:2]  # (K, h)
         ia, ib, ic = inv[idx].T[:, :, None]
-        # q = ia*dx*dx + 2*ib*(dx*dy) + ic*dy*dy, summed in that order
-        q = np.multiply(dy[:, :, None], dx[:, None, :])
-        q *= (2.0 * ib)[:, :, None]
-        q += ((ia * dx) * dx)[:, None, :]
-        q += ((ic * dy) * dy)[:, :, None]
-        q *= -0.5
-        np.exp(q, out=q)
-        q *= opacity[idx, None, None]
-        alpha = np.minimum(q, settings.alpha_max, out=q).reshape(len(idx), -1)
-        use = alpha >= settings.alpha_min
+        # -0.5 q for q = ia*dx*dx + 2*ib*(dx*dy) + ic*dy*dy summed in that
+        # order: scaling each term by a power of two rounds identically
+        q = np.multiply(dy[:, :, None], dx[:, None, :], out=qbuf[:k * n].reshape(k, r1 - r0, -1))
+        q *= (-ib)[:, :, None]
+        q += (-0.5 * ((ia * dx) * dx))[:, None, :]
+        q += (-0.5 * ((ic * dy) * dy))[:, :, None]
+        alpha = np.exp(q, out=q).reshape(k, n)
+        alpha *= opacity[idx, None]
+        np.minimum(alpha, settings.alpha_max, out=alpha)
+        use = np.greater_equal(alpha, settings.alpha_min, out=ubuf[:k * n].reshape(k, n))
         # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
         # a float32 sum that starts at +0, so dropping them (before the
         # cumprod, and again after the t_min mask) changes no bit.
         live = np.flatnonzero(use.any(axis=1))
         if not live.size:
             continue
-        idx, use = idx[live], use[live]
-        alpha32 = alpha[live].astype(np.float32)
-        alpha32[~use] = 0.0
-        t_after = np.cumprod(np.float32(1.0) - alpha32, axis=0)
-        if settings.t_min > 0:
-            use &= t_after >= settings.t_min
-        alpha32[1:] *= t_after[:-1]  # alpha * T before the splat
-        alpha32[~use] = 0.0
+        if live.size < k:
+            idx, use, alpha, k = idx[live], use[live], alpha[live], live.size
+        w32 = wbuf[:k * n].reshape(k, n)
+        w32.fill(0.0)
+        np.copyto(w32, alpha, casting="same_kind", where=use)
+        t_after = np.subtract(np.float32(1.0), w32, out=tbuf[:k * n].reshape(k, n))
+        # T in 64-row blocks, each carrying the last T of the one before: the
+        # same products.  A carried T below t_min feeds only masked entries,
+        # so it is flushed to +0 rather than sunk through float32 subnormals.
+        for k0 in range(0, k, 64):
+            blk = t_after[k0:k0 + 64]
+            if k0:
+                blk[0] *= t_after[k0 - 1]
+            np.cumprod(blk, axis=0, out=blk)
+            if t_min > 0:
+                use[k0:k0 + 64] &= blk >= t_min
+                blk[-1][blk[-1] < t_min] = 0.0
+        w32[1:] *= t_after[:-1]  # alpha * T before the splat
+        w32 *= use
         live = np.flatnonzero(use.any(axis=1))
-        acc = np.einsum("kc,kp->cp", feats32[idx[live]], alpha32[live])
+        acc = np.einsum("kc,kp->cp", feats32[idx[live]], w32[live])
         out[:, r0:r1, c0:c1] = acc.reshape(-1, r1 - r0, c1 - c0)
     return BevFeatureMap(out, bev)
 
@@ -389,12 +428,14 @@ def encode(
     bev: BevRange,
     settings: RasterSettings | None = None,
     threads: int = 1,
+    mem_cap: int = DEFAULT_MEM_CAP,
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
-    projection, and tiled rasterization; ``threads`` is accepted and ignored."""
+    projection, and tiled rasterization; ``threads`` is accepted and ignored,
+    ``mem_cap`` bounds the attention score block."""
     settings = settings or RasterSettings()
     f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
-    f_gfa = gfa(cloud, params.attn)
+    f_gfa = gfa(cloud, params.attn, mem_cap)
     scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head, params.s_min)
     pos = cloud.positions
     mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)

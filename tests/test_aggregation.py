@@ -1,6 +1,7 @@
 """Local/global aggregation: hand examples, brute-force neighbor oracle,
 cross-implementation equivalence, attribute head, weight I/O."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -306,6 +307,81 @@ def test_gfa_matches_reference(n_heads):
     want = _reference_gfa(cloud.features, params.attn)
     assert got.shape == (40, 16)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _random_block(seed, c_raw, c, n_heads, input_bias=True):
+    """An attention block with every gamma, beta and bias drawn at random
+    (``init_weights`` sets gamma = 1 and beta = 0, which hides a wrong fold)."""
+    rng = np.random.default_rng(seed)
+
+    def lin(out_dim, in_dim, bias=True):
+        w = rng.uniform(-1, 1, (out_dim, in_dim)) / math.sqrt(max(in_dim, 1))
+        return LinearLayer(w, rng.uniform(-1, 1, out_dim) if bias else None)
+
+    def ln():
+        return LayerNormParams(rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c),
+                               rng.uniform(1e-6, 1e-4))
+
+    return AttentionBlock(lin(c, c_raw, input_bias), ln(), lin(3 * c, c), lin(c, c), ln(),
+                          lin(2 * c, c), lin(c, 2 * c), n_heads=n_heads)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 150])
+def test_gfa_factorization_matches_reference_with_random_affine_params(n_heads, n):
+    # c = 16 with 8 heads gives d_head = 2, fewer than the c_raw + 2 = 6 factor columns
+    cloud = generate_scene(SceneSpec(seed=34, n_points=n))
+    for input_bias in (True, False):
+        block = _random_block(n_heads * 100 + n, 4, 16, n_heads, input_bias)
+        got = gfa(cloud, block)
+        assert got.shape == (n, 16)
+        assert np.max(np.abs(got - _reference_gfa(cloud.features, block))) < 1e-12
+
+
+def test_gfa_scores_beyond_exp_range_match_reference():
+    # gamma = 40 puts scores in the thousands, where exp overflows unless
+    # each row's max is subtracted first
+    cloud = generate_scene(SceneSpec(seed=38, n_points=90))
+    block = _random_block(38, 4, 16, 2)
+    block = dataclasses.replace(block, ln1=dataclasses.replace(block.ln1, gamma=40 * block.ln1.gamma))
+    want = _reference_gfa(cloud.features, block)
+    assert np.max(np.abs(gfa(cloud, block) - want) / np.maximum(1.0, np.abs(want))) < 1e-12
+
+
+def test_gfa_without_raw_channels_matches_reference():
+    # every row of f1 is the input bias; the factor Z is [1/sigma, 1]
+    rng = np.random.default_rng(35)
+    cloud = PointCloud(rng.uniform(-5, 5, (70, 3)), np.zeros((70, 0)))
+    block = _random_block(35, 0, 8, 2)
+    got = gfa(cloud, block)
+    assert np.max(np.abs(got - _reference_gfa(cloud.features, block))) < 1e-12
+
+
+def test_gfa_mem_cap_sets_the_score_block_and_rejects_less_than_a_row():
+    cloud = generate_scene(SceneSpec(seed=36, n_points=100))
+    block = _random_block(36, 4, 16, 4)
+    want = _reference_gfa(cloud.features, block)
+    for cap in (800, 8 * 100 * 7, 1 << 30):  # 1, 7 and 64 query rows per block
+        assert np.max(np.abs(gfa(cloud, block, mem_cap=cap) - want)) < 1e-12
+    for cap in (799, 0):
+        with pytest.raises(AllocationLimit):
+            gfa(cloud, block, mem_cap=cap)
+    assert gfa(PointCloud(np.zeros((0, 3)), np.zeros((0, 4))), block, mem_cap=0).shape == (0, 16)
+
+
+def test_gfa_at_ten_thousand_points_stays_under_a_64_mb_cap():
+    # the dense form held one 10 000 x 10 000 float64 score block: 800 MB
+    cap = 64 << 20
+    cloud = generate_scene(SceneSpec(seed=37, n_points=10_000))
+    block = init_weights(37, c_raw=4, c=64).attn
+    tracemalloc.start()
+    try:
+        out = gfa(cloud, block, mem_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10_000, 64) and np.all(np.isfinite(out))
+    assert peak < cap
 
 
 def test_gfa_single_point_attention_is_identity_over_v():

@@ -166,6 +166,17 @@ def test_encode_huge_coordinate_is_culled(tmp_path):
     assert np.all(np.isfinite(read_feature_map(out).data))
 
 
+def test_encode_mem_cap_too_small_for_one_attention_row_exits_3(tmp_path, small_cloud, capsys):
+    # mem_cap used to bind only the broadcast LFA, so encode ignored it and exited 0
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(small_cloud), "--out", str(out),
+                 "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", "mem_cap=0"]) == 3
+    assert "error: AllocationLimit" in capsys.readouterr().err and not out.exists()
+    # one score row of the 80 points is 640 bytes
+    assert main(["encode", "--cloud", str(small_cloud), "--out", str(out),
+                 "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", "mem_cap=640"]) == 0
+
+
 def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c0.csv"
     assert main(["generate", "--out", str(cloud), "--n", "20", "--c-raw", "0"]) == 0

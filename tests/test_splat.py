@@ -521,10 +521,23 @@ def _disc_splat(mx, my, opacity=0.3, var=4.0, key=0):
     return Splat2D(np.array([mx, my]), cov, np.linalg.inv(cov), np.ones(1), opacity, (0.0, key))
 
 
-@pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
-def test_array_binning_matches_per_splat_loop(tile_size):
-    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)  # partial last tile row and column
-    splats = _random_splats(90, 60, bev)
+def _cov_splat(mx, my, cov, opacity=0.3, key=0, features=(1.0,)):
+    """Splat of covariance [[a, b], [b, c]] with its adjugate inverse."""
+    (a, b), (_, c) = cov
+    cov = np.array([[a, b], [b, c]], dtype=np.float64)
+    inv = np.array([[c, -b], [-b, a]]) / (a * c - b * b)
+    return Splat2D(np.array([mx, my]), cov, inv, np.asarray(features, dtype=np.float64), opacity,
+                   (0.0, key))
+
+
+def _rotated(long_var, short_var, degrees):
+    t = math.radians(degrees)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return rot @ np.diag([long_var, short_var]) @ rot.T
+
+
+def _adversarial_splats(bev, tile_size):
+    splats = _random_splats(90, 60, bev, channels=1)
     # discs whose edges fall exactly on tile borders and on the map border
     for x in (-6.0, -6.000001, 0.0, 2.0, 4.0, 10.0, 16.0, 34.0, 39.5, 46.0, 46.000001):
         for y in (-6.0, 4.0, 20.0, 42.9999, 43.0):
@@ -535,25 +548,101 @@ def test_array_binning_matches_per_splat_loop(tile_size):
         splats.append(_disc_splat(*mean, key=len(splats)))
     for opacity in (amin, np.nextafter(amin, 0.0), 0.0, np.nextafter(amin, 1.0), 1.0):
         splats.append(_disc_splat(12.0, 12.0, opacity=opacity, key=len(splats)))
+        splats.append(_disc_splat(12.5, 12.5, opacity=opacity, key=len(splats)))
     splats += [_disc_splat(-1e40, 20.0, var=1e90, key=len(splats)),
                _disc_splat(20.0, 20.0, var=1e100, key=len(splats) + 1)]
+    # thin, rotated and nearly singular ellipses with means on tile corners,
+    # on tile edges, at pixel centres and off the map
+    covs = [_rotated(400.0, 1e-3, d) for d in (0.0, 30.0, 45.0, 90.0, 135.0)]
+    # determinants of about 1.1e-12, just above DET_EPS
+    covs += [_rotated(1e-3, 1.1e-9, 45.0), np.diag([1e-6, 1.1e-6]), _rotated(9.0, 0.3, 45.0)]
+    means = [(tile_size * i, tile_size * j) for i in (0, 1, 2) for j in (0, 1)]
+    means += [(tile_size, 0.5 * tile_size), (17.5, 3.5), (-3.0, 5.0), (43.0, 20.0), (20.0, 40.0)]
+    for cov in covs:
+        for mean in means:
+            for opacity in (0.9, np.nextafter(amin, 1.0), amin, np.nextafter(amin, 0.0)):
+                splats.append(_cov_splat(*mean, cov, opacity=opacity, key=len(splats)))
+    # indefinite, one with a concave inverse diagonal: clamped stationary
+    # points are edge maxima there, and tile (1, 1) at tile_size 4 has
+    # alpha = e^-1 o > alpha_min at its corner pixel nearest the mean
+    splats.append(_cov_splat(20.3, 20.6, [[1.0, 0.3], [0.3, -100.0]], 0.5, key=len(splats)))
+    splats.append(_cov_splat(2.5, 2.5, [[1.0, 3.0], [3.0, 1.0]], amin * math.exp(1.5),
+                             key=len(splats)))
+    return splats
+
+
+def _tile_max_alpha(s, bev, ts):
+    """Largest float64 alpha of one splat over the pixel centres of each tile."""
+    dx = (np.arange(bev.w) + 0.5)[None, :] - s.mean2d[0]
+    dy = (np.arange(bev.h) + 0.5)[:, None] - s.mean2d[1]
+    ia, ib, ic = s.cov2d_inv[0, 0], s.cov2d_inv[0, 1], s.cov2d_inv[1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
+        alpha = np.minimum(s.opacity * np.exp(-0.5 * q), 0.99)
+    nty, ntx = -(-bev.h // ts), -(-bev.w // ts)
+    padded = np.full((nty * ts, ntx * ts), -np.inf)
+    padded[:bev.h, :bev.w] = np.where(np.isnan(alpha), np.inf, alpha)
+    return padded.reshape(nty, ts, ntx, ts).max(axis=(1, 3)).ravel()
+
+
+@pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
+def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size):
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)  # partial last tile row and column
+    splats = _adversarial_splats(bev, tile_size)
     settings = RasterSettings(tile_size=tile_size)
+    culled = 0
     for blend_order in BLEND_ORDERS:
         ordered = sort_splats(splats, blend_order)
         assert [s.blend_key for s in ordered] == [
             s.blend_key for s in _ref_sort(splats, blend_order)]
-        assert list(build_tile_grid(ordered, bev, settings).tiles) == _ref_bin(
-            ordered, bev, settings)
+        if blend_order == "index":
+            tile_alpha = [_tile_max_alpha(s, bev, tile_size) for s in ordered]
+        exact = build_tile_grid(ordered, bev, settings).tiles
+        disc = _ref_bin(ordered, bev, settings)
+        assert len(exact) == len(disc)
+        for tile, (kept, candidates) in enumerate(zip(exact, disc)):
+            # a subsequence of the disc loop's list, so still in blend order
+            keep = set(kept)
+            assert kept == [i for i in candidates if i in keep]
+            if blend_order == "index":  # the cull does not depend on the order
+                for i in set(candidates) - keep:
+                    culled += 1
+                    assert tile_alpha[i][tile] < settings.alpha_min
+        got = rasterize(splats, bev, 1, settings).data
+        want = _ref_rasterize(splats, bev, 1, settings)
+        if tile_size > 1:
+            _assert_same_bytes(got, want)
+        else:
+            # over a one-pixel tile einsum does not add the rows in order, so
+            # the reference's extra zero-weight rows move the sum by ULPs
+            np.testing.assert_allclose(got, want, rtol=4e-6, atol=1e-7)
+    assert culled > 0
+
+
+def test_carried_transmittance_through_subnormals_matches_one_cumprod():
+    # 1500 wide splats of opacity 0.5 over one 16-px tile: T = prod(1 - alpha)
+    # sinks below float32's smallest normal within ~200 rows, then sticks at
+    # the smallest subnormal, which times 0.52 rounds back up to itself
+    bev = BevRange(0.0, 16.0, 0.0, 16.0, 16, 16)
+    gen = SplitMix64(stream_seed(75, "deep"))
+    splats = [_cov_splat(8.0 + 4.0 * (gen.next_f64() - 0.5), 8.0 + 4.0 * (gen.next_f64() - 0.5),
+                         np.diag([400.0, 300.0]), opacity=0.5, key=i, features=gen.normals(2))
+              for i in range(1500)]
+    for t_min in (1e-4, 0.0, -1.0):
+        settings = RasterSettings(t_min=t_min, blend_order="index")
+        _assert_same_bytes(rasterize(splats, bev, 2, settings).data,
+                           _ref_rasterize(splats, bev, 2, settings))
 
 
 def test_tile_whose_rows_all_fail_alpha_min_writes_exact_zeros():
-    # opacity 1.2 alpha_min bins the disc out to 3 sigma, but alpha reaches
-    # alpha_min only within 0.6 sigma: the mean's pixel, in one tile of four
+    # opacity 1.2 alpha_min gives a coverage disc of 3 sigma over six tiles,
+    # but alpha reaches alpha_min only within 0.6 sigma: the mean's pixel,
+    # in the one tile the exact cull keeps
     settings = RasterSettings(t_min=0.0, lambda_blur=0.0, tile_size=4)
     prim = _prim([5.5, 0.5, 0.0], scales=(1.0, 1.0, 1.0), opacity=1.2 / 255.0,
                  features=(-2.0,))
     splat = project_to_bev(prim, SMALL, lambda_blur=0.0)
-    assert sum(1 for t in build_tile_grid([splat], SMALL, settings).tiles if t) == 6
+    assert [i for i, t in enumerate(build_tile_grid([splat], SMALL, settings).tiles) if t] == [9]
     fmap = rasterize([splat], SMALL, channels=1, settings=settings)
     assert np.count_nonzero(fmap.data) == 1 and fmap.data[0, 8, 5] < 0
     assert not np.signbit(np.delete(fmap.data.ravel(), 8 * 16 + 5)).any()  # +0.0, not -0.0
