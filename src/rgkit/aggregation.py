@@ -38,7 +38,8 @@ fixed at the source point position.
 
 Weight files use the ``RGWT`` format: magic, u32 version (=1), then named
 tensors (u32 name length, UTF-8 name, u32 rank, u32 dims, little-endian
-float64 payload) until end of file.
+float64 payload) until end of file.  A malformed file raises
+:class:`FormatError`; an out-of-range ``r``, ``s_min`` or ``eps``, :class:`InvalidSpec`.
 """
 
 from __future__ import annotations
@@ -133,6 +134,8 @@ class LayerNormParams:
         b = np.asarray(self.beta, dtype=np.float64)
         if g.ndim != 1 or g.shape != b.shape:
             raise ShapeMismatch(f"gamma/beta must be equal 1-D, got {g.shape}, {b.shape}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise InvalidSpec(f"layer norm eps must be finite and > 0, got {self.eps}")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "beta", b)
 
@@ -217,6 +220,12 @@ def check_radius(r: float) -> None:
     """Every search compares squared distances with ``r * r``: it must be > 0 and finite."""
     if not (r > 0 and 0 < r * r < math.inf):
         raise InvalidSpec(f"neighborhood radius must be > 0 with a finite nonzero square, got {r}")
+
+
+def check_scale_floor(s_min: float) -> None:
+    """The floor is added to every softplus scale: it must be finite and >= 0."""
+    if not (math.isfinite(s_min) and s_min >= 0):
+        raise InvalidSpec(f"s_min must be finite and >= 0, got {s_min}")
 
 
 def _check_lfa_args(cloud: PointCloud, layer: LinearLayer, r: float) -> None:
@@ -514,6 +523,10 @@ class PgeParams:
     r: float = DEFAULT_RADIUS
     s_min: float = SCALE_FLOOR
 
+    def __post_init__(self) -> None:
+        check_radius(self.r)
+        check_scale_floor(self.s_min)
+
     @property
     def feature_dim(self) -> int:
         """Channel count of the rendered feature map."""
@@ -524,9 +537,16 @@ def _seeded_uniform(seed: int, name: str, shape: tuple, fan_in: int) -> Array:
     """Tensor init: uniform in (-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn
     row-major from the stream ``stream_seed(seed, name)``."""
     stream = SplitMix64(stream_seed(seed, name))
-    size = int(np.prod(shape)) if shape else 1
-    vals = (2.0 * stream.uniforms(size) - 1.0) / math.sqrt(fan_in)
+    vals = (2.0 * stream.uniforms(math.prod(shape)) - 1.0) / math.sqrt(fan_in)
     return vals.reshape(shape)
+
+
+def _assemble(lin, ln, n_heads: int, r: float, s_min: float) -> PgeParams:
+    """The parameter set from a maker of linear layers and one of layer
+    norms, each called with the layer's RGWT name."""
+    attn = AttentionBlock(lin("gfa.input"), ln("gfa.ln1"), lin("gfa.qkv"), lin("gfa.out"),
+                          ln("gfa.ln2"), lin("gfa.ffn1"), lin("gfa.ffn2"), n_heads)
+    return PgeParams(lin("lfa"), attn, lin("head"), r, s_min)
 
 
 def init_weights(
@@ -543,32 +563,20 @@ def init_weights(
         raise InvalidSpec(f"need c >= 1 and c_raw >= 1, got c={c}, c_raw={c_raw}")
     if n_heads < 1 or c % n_heads:
         raise InvalidSpec(f"head count {n_heads} must divide dim {c}")
+    shapes = {"lfa": (c, c_raw + 3), "gfa.input": (c, c_raw), "gfa.qkv": (3 * c, c),
+              "gfa.out": (c, c), "gfa.ffn1": (2 * c, c), "gfa.ffn2": (c, 2 * c),
+              "head": (7 + c, c_raw + 2 * c)}
 
-    def lin(name: str, out_dim: int, in_dim: int) -> LinearLayer:
+    def lin(name: str) -> LinearLayer:
+        out_dim, in_dim = shapes[name]
         w = _seeded_uniform(seed, f"{name}.weight", (out_dim, in_dim), in_dim)
-        b = _seeded_uniform(seed, f"{name}.bias", (out_dim,), in_dim)
-        return LinearLayer(w, b)
+        return LinearLayer(w, _seeded_uniform(seed, f"{name}.bias", (out_dim,), in_dim))
 
-    attn = AttentionBlock(
-        input_proj=lin("gfa.input", c, c_raw),
-        ln1=LayerNormParams(np.ones(c), np.zeros(c)),
-        qkv=lin("gfa.qkv", 3 * c, c),
-        out_proj=lin("gfa.out", c, c),
-        ln2=LayerNormParams(np.ones(c), np.zeros(c)),
-        ffn1=lin("gfa.ffn1", 2 * c, c),
-        ffn2=lin("gfa.ffn2", c, 2 * c),
-        n_heads=n_heads,
-    )
-    return PgeParams(
-        lfa=lin("lfa", c, c_raw + 3),
-        attn=attn,
-        head=lin("head", 7 + c, c_raw + 2 * c),
-        r=r,
-        s_min=s_min,
-    )
+    return _assemble(lin, lambda name: LayerNormParams(np.ones(c), np.zeros(c)), n_heads, r, s_min)
 
 
 def _named_tensors(params: PgeParams) -> dict[str, Array]:
+    """Every tensor under its RGWT name, in file order."""
     a = params.attn
     named: dict[str, Array] = {}
     pairs = [
@@ -609,67 +617,55 @@ def save_weights(params: PgeParams, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, size: int, what: str) -> bytes:
-    blob = fh.read(size)
-    if len(blob) != size:
-        raise FormatError(f"RGWT file truncated inside {what}")
-    return blob
-
-
 def load_weights(path) -> PgeParams:
     """Read an ``RGWT`` file back into a parameter set."""
-    named: dict[str, Array] = {}
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != _W_MAGIC:
-            raise FormatError("not an RGWT weights file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != _W_VERSION:
-            raise FormatError(f"unsupported RGWT version {version}")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise FormatError("RGWT file truncated inside tensor header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor rank"))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            count = int(np.prod(shape)) if rank else 1
-            payload = _read_exact(fh, 8 * count, f"tensor {name!r}")
-            named[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        blob = fh.read()
+    pos = 0
+
+    def read(size: int, what: str) -> bytes:
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise FormatError(f"RGWT file truncated inside {what}")
+        pos += size
+        return blob[pos - size:pos]
+
+    if read(4, "magic") != _W_MAGIC:
+        raise FormatError("not an RGWT weights file (bad magic)")
+    (version,) = struct.unpack("<I", read(4, "version"))
+    if version != _W_VERSION:
+        raise FormatError(f"unsupported RGWT version {version}")
+    named: dict[str, Array] = {}
+    while pos < len(blob):
+        (name_len,) = struct.unpack("<I", read(4, "tensor header"))
+        try:
+            name = read(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"RGWT tensor name at byte {pos - name_len} is not UTF-8") from None
+        (rank,) = struct.unpack("<I", read(4, "tensor rank"))
+        shape = struct.unpack(f"<{rank}I", read(4 * rank, "dims"))
+        # counted exactly: an int64 product of the dims can wrap (four 65536s give 0)
+        payload = read(8 * math.prod(shape), f"tensor {name!r}")
+        named[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
 
     def take(name: str) -> Array:
         if name not in named:
             raise FormatError(f"RGWT file is missing tensor {name!r}")
-        return named[name].astype(np.float64)
+        return named[name]
+
+    def scalar(name: str) -> float:
+        value = take(name)
+        if value.ndim:
+            raise FormatError(f"RGWT tensor {name!r} must be 0-d, got shape {value.shape}")
+        return float(value)
 
     def lin(name: str) -> LinearLayer:
-        bias = f"{name}.bias"
-        return LinearLayer(
-            take(f"{name}.weight"),
-            take(bias) if bias in named else None,
-        )
+        return LinearLayer(take(f"{name}.weight"), named.get(f"{name}.bias"))
 
     def ln(name: str) -> LayerNormParams:
-        return LayerNormParams(
-            take(f"{name}.gamma"), take(f"{name}.beta"), float(take(f"{name}.eps"))
-        )
+        return LayerNormParams(take(f"{name}.gamma"), take(f"{name}.beta"), scalar(f"{name}.eps"))
 
-    attn = AttentionBlock(
-        input_proj=lin("gfa.input"),
-        ln1=ln("gfa.ln1"),
-        qkv=lin("gfa.qkv"),
-        out_proj=lin("gfa.out"),
-        ln2=ln("gfa.ln2"),
-        ffn1=lin("gfa.ffn1"),
-        ffn2=lin("gfa.ffn2"),
-        n_heads=int(take("meta.n_heads")),
-    )
-    return PgeParams(
-        lfa=lin("lfa"),
-        attn=attn,
-        head=lin("head"),
-        r=float(take("meta.r")),
-        s_min=float(take("meta.s_min")),
-    )
+    n_heads = scalar("meta.n_heads")
+    if not n_heads.is_integer():
+        raise FormatError(f"RGWT meta.n_heads must be a whole number, got {n_heads}")
+    return _assemble(lin, ln, int(n_heads), scalar("meta.r"), scalar("meta.s_min"))

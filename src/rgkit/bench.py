@@ -32,7 +32,7 @@ from .aggregation import (
     lfa_traversal,
     traversal_mem_bytes,
 )
-from .errors import AllocationLimit
+from .errors import AllocationLimit, InvalidSpec
 from .pointcloud import PointCloud, SceneSpec, generate_scene
 
 #: Max absolute elementwise deviation from the traversal reference.
@@ -94,6 +94,8 @@ def run_bench(
     mem_cap: int = DEFAULT_MEM_CAP,
 ) -> BenchReport:
     """Gate all implementations against the traversal reference, then time them."""
+    if reps < 1:
+        raise InvalidSpec(f"reps must be >= 1, got {reps}")
     layer = init_weights(seed, c_raw=c_raw, c=c).lfa
     rows = []
     gate_passed = True

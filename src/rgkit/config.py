@@ -18,11 +18,11 @@ settings: ``vod`` (51.2 m x 51.2 m at 320 x 320) and ``tj4d``
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass, field
 
-from .aggregation import DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR, check_radius
+from .aggregation import (DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR, check_radius,
+                          check_scale_floor)
 from .boxloss import DEFAULT_A_PER_CLASS, BglConfig
 from .errors import FormatError, InvalidSpec
 from .pointcloud import DEFAULT_RANGE, BevRange, SceneSpec
@@ -79,8 +79,7 @@ class RunConfig:
             raise InvalidSpec(f"c must be >= 1, got {self.c}")
         if self.n_heads < 1 or self.c % self.n_heads:
             raise InvalidSpec(f"n_heads {self.n_heads} must divide c {self.c}")
-        if not (math.isfinite(self.s_min) and self.s_min >= 0):
-            raise InvalidSpec(f"s_min must be finite and >= 0, got {self.s_min}")
+        check_scale_floor(self.s_min)
         if self.mem_cap < 0:
             raise InvalidSpec(f"mem_cap must be >= 0, got {self.mem_cap}")
         if not self.z_max > self.z_min:

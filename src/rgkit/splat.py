@@ -39,9 +39,9 @@ Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
 block's last T (a carried T below ``t_min`` feeds only masked entries and
 is flushed to +0, which keeps T out of float32 subnormals), the early stop
 as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
-that adds the splats in order in float32 without BLAS, so the map does not
-depend on BLAS threading.  Tiles run one after another: maps are
-bit-identical across runs.
+that adds the splats in order in float32 at every tile and channel count,
+without BLAS, so the map does not depend on BLAS threading.  Tiles run
+one after another: maps are bit-identical across runs.
 
 :func:`encode` runs on arrays, one kernel per stage: the head's scales,
 unit quaternions and features; projection to means (N, 2) and ``cov2d``
@@ -53,10 +53,10 @@ over their coverage discs' tile spans by ``np.repeat`` for the exact test.
 The blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
 ``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
 summed in the formula's order.  Rows unused at every pixel of a tile
-only multiply T by 1 and add +0, so they are left out of the ``cumprod``
-and the ``einsum``.  :func:`project_to_bev`, :func:`sort_splats`,
-:func:`build_tile_grid` and :func:`rasterize` take per-splat objects
-(:class:`Splat2D`) and are thin adapters over the same kernels.
+only multiply T by 1 and add +0, so they are left out of the ``einsum``.
+:func:`project_to_bev`, :func:`sort_splats`, :func:`build_tile_grid` and
+:func:`rasterize` take per-splat objects (:class:`Splat2D`) and are thin
+adapters over the same kernels.
 
 Feature-map files use the ``RGFM`` format: magic, u32 version (=1),
 u32 C, u32 H, u32 W, the four range extents as little-endian float64,
@@ -316,6 +316,14 @@ def _check_splats(splats: list, channels) -> int:
     return channels
 
 
+def _blend_sum(feats: Array, weights: Array) -> Array:
+    """``einsum("kc,kp->cp")`` adding the rows in order; at C = P = 1 einsum
+    would run a reordering SIMD dot product, so a zero column is added."""
+    if feats.shape[1] == weights.shape[1] == 1:
+        return np.einsum("kc,kp->cp", feats, np.pad(weights, ((0, 0), (0, 1))))[:, :1]
+    return np.einsum("kc,kp->cp", feats, weights)
+
+
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatureMap:
     """Bin and blend splats given in blend order (float32 accumulation)."""
     rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
@@ -346,14 +354,6 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatu
         alpha *= opacity[idx, None]
         np.minimum(alpha, settings.alpha_max, out=alpha)
         use = np.greater_equal(alpha, settings.alpha_min, out=ubuf[:k * n].reshape(k, n))
-        # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
-        # a float32 sum that starts at +0, so dropping them (before the
-        # cumprod, and again after the t_min mask) changes no bit.
-        live = np.flatnonzero(use.any(axis=1))
-        if not live.size:
-            continue
-        if live.size < k:
-            idx, use, alpha, k = idx[live], use[live], alpha[live], live.size
         w32 = wbuf[:k * n].reshape(k, n)
         w32.fill(0.0)
         np.copyto(w32, alpha, casting="same_kind", where=use)
@@ -371,8 +371,10 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatu
                 blk[-1][blk[-1] < t_min] = 0.0
         w32[1:] *= t_after[:-1]  # alpha * T before the splat
         w32 *= use
+        # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
+        # a float32 sum that starts at +0, so dropping them changes no bit.
         live = np.flatnonzero(use.any(axis=1))
-        acc = np.einsum("kc,kp->cp", feats32[idx[live]], w32[live])
+        acc = _blend_sum(feats32[idx[live]], w32[live])
         out[:, r0:r1, c0:c1] = acc.reshape(-1, r1 - r0, c1 - c0)
     return BevFeatureMap(out, bev)
 
@@ -473,8 +475,6 @@ def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:
 
 def nonzero_pixels(fmap: BevFeatureMap) -> int:
     """Number of pixels with a nonzero value in any channel."""
-    if fmap.channels == 0:
-        return 0
     return int(np.count_nonzero(np.any(fmap.data != 0, axis=0)))
 
 

@@ -2,8 +2,10 @@
 cross-implementation equivalence, attribute head, weight I/O."""
 
 import dataclasses
+import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +21,7 @@ from rgkit.aggregation import (
     AttentionBlock,
     LayerNormParams,
     LinearLayer,
+    PgeParams,
     broadcast_mem_bytes,
     build_neighbor_index,
     gfa,
@@ -33,6 +36,7 @@ from rgkit.aggregation import (
     softplus,
     traversal_mem_bytes,
 )
+from rgkit.aggregation import _named_tensors
 from rgkit.errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from rgkit.pointcloud import PointCloud, SceneSpec, generate_scene
 from rgkit.rng import SplitMix64, stream_seed
@@ -549,3 +553,95 @@ def test_weights_rejects_malformed(tmp_path):
     bad_version.write_bytes(blob[:4] + (99).to_bytes(4, "little") + blob[8:])
     with pytest.raises(FormatError):
         load_weights(bad_version)
+
+
+def _rgwt(named, tail=b""):
+    """RGWT bytes of named float64 tensors (a name may be raw bytes), then ``tail``."""
+    blob = b"RGWT" + struct.pack("<I", 1)
+    for name, arr in named.items():
+        raw = name if isinstance(name, bytes) else name.encode("utf-8")
+        arr = np.asarray(arr, dtype="<f8")
+        blob += struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim, *arr.shape)
+        blob += arr.tobytes()
+    return blob + tail
+
+
+def _tensor_header(name, *dims):
+    return struct.pack(f"<I{len(name)}sI{len(dims)}I", len(name), name, len(dims), *dims)
+
+
+#: SHA-256 of save_weights(init_weights(**kwargs)): pins the RGWT layout,
+#: the tensor order and every initial value
+PINNED_WEIGHTS = [
+    (dict(seed=0, c_raw=4, c=8),
+     "cb5d22dcfee15455832657242c690896cbb1dffab759f70aacb8757ba4d89a3f"),
+    (dict(seed=9, c_raw=4, c=16, n_heads=2, r=0.5, s_min=0.01),
+     "b247e0dd0a318117a10fe895976168582902ef3c0c0be694ece4ed05decb9e81"),
+    (dict(seed=5, c_raw=1, c=4, n_heads=4, r=1.25, s_min=0.0),
+     "9b34b456033e5685e7dc52128ada3b36f4d80e12ceaeabd19b1b179254c5d6b5"),
+]
+
+
+@pytest.mark.parametrize("kwargs,digest", PINNED_WEIGHTS)
+def test_save_weights_bytes_are_pinned(tmp_path, kwargs, digest):
+    params = init_weights(**kwargs)
+    path = tmp_path / "w.rgwt"
+    save_weights(params, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert path.read_bytes() == _rgwt(_named_tensors(params))  # the writer the tests below use
+
+
+_BAD_WEIGHTS = {
+    "non-UTF-8 name": ({b"\xff\xfe": 1.0}, FormatError),
+    "1-D eps": ({"gfa.ln1.eps": [1e-5, 1e-5]}, FormatError),
+    "1-D meta.r": ({"meta.r": [0.32]}, FormatError),
+    "2-D meta.n_heads": ({"meta.n_heads": [[1.0]]}, FormatError),
+    "NaN n_heads": ({"meta.n_heads": math.nan}, FormatError),
+    "infinite n_heads": ({"meta.n_heads": math.inf}, FormatError),
+    "fractional n_heads": ({"meta.n_heads": 1.5}, FormatError),
+    "negative eps": ({"gfa.ln2.eps": -1.0}, InvalidSpec),
+    "zero eps": ({"gfa.ln1.eps": 0.0}, InvalidSpec),
+    "NaN eps": ({"gfa.ln1.eps": math.nan}, InvalidSpec),
+    "negative r": ({"meta.r": -1.0}, InvalidSpec),
+    "NaN r": ({"meta.r": math.nan}, InvalidSpec),
+    "r whose square overflows": ({"meta.r": 1e200}, InvalidSpec),
+    "negative s_min": ({"meta.s_min": -1.0}, InvalidSpec),
+    "infinite s_min": ({"meta.s_min": math.inf}, InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WEIGHTS))
+def test_load_weights_raises_a_typed_error_for_a_bad_tensor(tmp_path, case):
+    changes, error = _BAD_WEIGHTS[case]
+    named = {**_named_tensors(init_weights(0, c_raw=4, c=8)), **changes}
+    path = tmp_path / "bad.rgwt"
+    path.write_bytes(_rgwt(named))
+    with pytest.raises(error):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("dims", [(65536,) * 4, (1 << 20,) * 3, (1 << 31,), (2, 500)],
+                         ids=["four-65536s", "2^60-values", "16-GiB", "one-value-too-many"])
+def test_load_weights_rejects_dims_beyond_the_bytes_left(tmp_path, dims):
+    # np.prod of four 65536s wraps to 0 in int64; the loader counts exactly
+    named = _named_tensors(init_weights(0, c_raw=4, c=8))
+    path = tmp_path / "big.rgwt"
+    path.write_bytes(_rgwt(named, _tensor_header(b"extra", *dims) + bytes(8 * 999)))
+    with pytest.raises(FormatError, match="truncated"):
+        load_weights(path)
+
+
+def test_params_reject_out_of_range_values():
+    params = init_weights(0, c_raw=4, c=8)
+    for r in (0.0, -1.0, math.nan, math.inf, 1e200):
+        with pytest.raises(InvalidSpec, match="radius"):
+            dataclasses.replace(params, r=r)
+    for s_min in (-1e-9, math.nan, math.inf):
+        with pytest.raises(InvalidSpec, match="s_min"):
+            dataclasses.replace(params, s_min=s_min)
+    with pytest.raises(InvalidSpec, match="radius"):
+        init_weights(0, c_raw=4, c=8, r=math.nan)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidSpec, match="eps"):
+            LayerNormParams(np.ones(3), np.zeros(3), eps)
+    assert isinstance(dataclasses.replace(params, r=1e-100, s_min=0.0), PgeParams)

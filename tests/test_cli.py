@@ -289,6 +289,12 @@ def test_bench_small_run(tmp_path, capsys):
     assert len(lines) == 1 + 6  # three implementations at two sizes
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_rep(reps, capsys):
+    assert main(["bench-lfa", "--n", "20", "--reps", reps]) == 2
+    assert capsys.readouterr().err == f"error: InvalidSpec: reps must be >= 1, got {reps}\n"
+
+
 # ---------------------------------------------------------------------------
 # bgl
 

@@ -1,8 +1,8 @@
 """Property tests of the input contract: on adversarial values,
 ``read_boxes``, ``bgl``, ``bgl_gradient`` and ``encode`` return a finite
-result or raise a typed ``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4,
-never 1.  A leaked NumPy ``RuntimeWarning`` fails these tests too (see
-pyproject)."""
+result, ``load_weights`` returns a parameter set, or they raise a typed
+``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4, never 1.  A leaked NumPy
+``RuntimeWarning`` fails these tests too (see pyproject)."""
 
 import contextlib
 import io
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rgkit.aggregation import init_weights
+from rgkit.aggregation import PgeParams, init_weights, load_weights, save_weights
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
 from rgkit.errors import RgkError
@@ -126,3 +126,50 @@ def test_encode_is_a_finite_map_or_a_typed_error(cloud_points, blend_order, t_mi
         return
     assert fmap.data.shape == (_ENCODE_PARAMS.feature_dim, 24, 20)
     assert np.all(np.isfinite(fmap.data))
+
+
+def _saved_weights() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.rgwt"
+        save_weights(init_weights(4, c_raw=2, c=4, n_heads=2), path)
+        return path.read_bytes()
+
+
+_RGWT = _saved_weights()
+#: byte offset of each 0-d tensor's payload: it follows the name and a rank of 0
+_SCALARS = {name: _RGWT.index(name.encode()) + len(name) + 4
+            for name in ("gfa.ln1.eps", "gfa.ln2.eps", "meta.n_heads", "meta.r", "meta.s_min")}
+
+
+def _overwrite(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for offset, data in edits:
+        out[offset:offset + len(data)] = data
+    return bytes(out[:len(blob)])
+
+
+scalar_values = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.5, 2.0, 3.0, 2.0 ** 53, 2.0 ** 64, 1e200, 5e-324]),
+)
+rgwt_files = st.one_of(
+    st.integers(0, len(_RGWT)).map(lambda n: _RGWT[:n]),
+    st.lists(st.tuples(st.integers(0, len(_RGWT) - 1), st.binary(min_size=1, max_size=8)),
+             min_size=1, max_size=6).map(lambda edits: _overwrite(_RGWT, edits)),
+    st.dictionaries(st.sampled_from(sorted(_SCALARS)), scalar_values, min_size=1).map(
+        lambda values: _overwrite(_RGWT, [(_SCALARS[k], np.float64(v).astype("<f8").tobytes())
+                                          for k, v in values.items()])),
+)
+
+
+@_SETTINGS
+@given(rgwt_files)
+def test_load_weights_returns_params_or_a_typed_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.rgwt"
+        path.write_bytes(blob)
+        try:
+            params = load_weights(path)
+        except RgkError:
+            return
+    assert isinstance(params, PgeParams)

@@ -40,6 +40,7 @@ from rgkit.splat import (
     write_feature_map,
     write_pgm,
 )
+from rgkit.splat import _blend_sum
 
 VOD = BevRange(0.0, 51.2, -25.6, 25.6, 320, 320)
 SMALL = BevRange(0.0, 16.0, -8.0, 8.0, 16, 16)
@@ -335,6 +336,8 @@ def test_nonzero_pixels_counts_any_channel():
     data[1, 2, 2] = -1.0
     fmap = BevFeatureMap(data, BevRange(0, 3, 0, 3, 3, 3))
     assert nonzero_pixels(fmap) == 2
+    bare = PointCloud([[1.0, 1.0, 0.0]], np.zeros((1, 0)))  # c_raw = 0
+    assert nonzero_pixels(pillar_scatter(bare, BevRange(0, 3, 0, 3, 3, 3))) == 0
 
 
 def test_feature_map_validation():
@@ -465,7 +468,7 @@ def _ref_rasterize(splats, bev, channels, settings):
             use &= t_after >= settings.t_min
         t_before = np.vstack([np.ones_like(t_after[:1]), t_after[:-1]])
         weight = np.where(use, alpha32 * t_before, np.float32(0.0))
-        acc = np.einsum("kc,kp->cp", feats32[idx], weight)
+        acc = _blend_sum(feats32[idx], weight)
         out[:, r0:r1, c0:c1] = acc.reshape(channels, r1 - r0, c1 - c0)
     return out
 
@@ -608,15 +611,31 @@ def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size):
                 for i in set(candidates) - keep:
                     culled += 1
                     assert tile_alpha[i][tile] < settings.alpha_min
-        got = rasterize(splats, bev, 1, settings).data
-        want = _ref_rasterize(splats, bev, 1, settings)
-        if tile_size > 1:
-            _assert_same_bytes(got, want)
-        else:
-            # over a one-pixel tile einsum does not add the rows in order, so
-            # the reference's extra zero-weight rows move the sum by ULPs
-            np.testing.assert_allclose(got, want, rtol=4e-6, atol=1e-7)
+        _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
+                           _ref_rasterize(splats, bev, 1, settings))
     assert culled > 0
+
+
+def test_one_channel_one_pixel_corner_tile_matches_per_object_pipeline():
+    # at tile_size 16 a 33 x 33 map ends in a one-pixel tile; with one channel
+    # its sum is a (K) . (K) product, which einsum would not add in order,
+    # and the reference keeps zero-weight rows the exact binning drops
+    bev = BevRange(0.0, 8.25, 0.0, 8.25, 33, 33)
+    for seed in range(30):
+        splats = _random_splats(seed, 200, bev, channels=1)
+        _assert_same_bytes(rasterize(splats, bev, 1).data,
+                           _ref_rasterize(splats, bev, 1, RasterSettings()))
+
+
+def test_blend_sum_adds_rows_in_order():
+    gen = SplitMix64(stream_seed(76, "sum"))
+    for k, c, p in ((300, 1, 1), (64, 1, 1), (300, 2, 1), (300, 1, 2), (300, 3, 5), (0, 1, 1)):
+        feats = gen.normals(k * c).reshape(k, c).astype(np.float32)
+        weights = gen.uniforms(k * p).reshape(k, p).astype(np.float32)
+        want = np.zeros((c, p), dtype=np.float32)
+        for row in range(k):
+            want += feats[row][:, None] * weights[row][None, :]
+        _assert_same_bytes(_blend_sum(feats, weights), want)
 
 
 def test_carried_transmittance_through_subnormals_matches_one_cumprod():
