@@ -39,7 +39,8 @@ fixed at the source point position.
 Weight files use the ``RGWT`` format: magic, u32 version (=1), then named
 tensors (u32 name length, UTF-8 name, u32 rank, u32 dims, little-endian
 float64 payload) until end of file.  A malformed file raises
-:class:`FormatError`; an out-of-range ``r``, ``s_min`` or ``eps``, :class:`InvalidSpec`.
+:class:`FormatError`; an out-of-range ``r``, ``s_min`` or ``eps``, or a
+non-finite layer tensor, :class:`InvalidSpec`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from .geom import quat_normalize
@@ -78,6 +78,12 @@ _W_VERSION = 1
 # Layers
 
 
+def _check_finite(name: str, values: Array) -> None:
+    """A NaN or infinite parameter would reach every map value it touches."""
+    if not np.isfinite(values).all():
+        raise InvalidSpec(f"layer {name} must hold only finite values")
+
+
 @dataclass(frozen=True)
 class LinearLayer:
     """Affine map ``x -> x @ weight.T + bias`` with ``weight`` of shape
@@ -90,6 +96,7 @@ class LinearLayer:
         w = np.asarray(self.weight, dtype=np.float64)
         if w.ndim != 2:
             raise ShapeMismatch(f"weight must be 2-D, got shape {w.shape}")
+        _check_finite("weight", w)
         object.__setattr__(self, "weight", w)
         if self.bias is not None:
             b = np.asarray(self.bias, dtype=np.float64)
@@ -97,6 +104,7 @@ class LinearLayer:
                 raise ShapeMismatch(
                     f"bias shape {b.shape} does not match out_dim {w.shape[0]}"
                 )
+            _check_finite("bias", b)
             object.__setattr__(self, "bias", b)
 
     @property
@@ -136,6 +144,8 @@ class LayerNormParams:
             raise ShapeMismatch(f"gamma/beta must be equal 1-D, got {g.shape}, {b.shape}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise InvalidSpec(f"layer norm eps must be finite and > 0, got {self.eps}")
+        _check_finite("gamma", g)
+        _check_finite("beta", b)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "beta", b)
 
@@ -151,6 +161,11 @@ class LayerNormParams:
 
 def gelu(x: Array) -> Array:
     """Exact Gaussian-error linear unit: ``0.5 * x * (1 + erf(x / sqrt(2)))``."""
+    # imported here, not at module level: loading scipy.special costs about
+    # 0.33 s and 26 MB, which every process importing rgkit would pay, and
+    # only the attention FFN needs it
+    from scipy.special import erf
+
     y = erf(x / math.sqrt(2.0)) + 1.0
     y *= 0.5 * x
     return y
@@ -353,21 +368,21 @@ class NeighborIndex:
         return np.bincount(self.row_idx, minlength=self.n_points)
 
 
-def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
-    """Enumerate neighbor pairs in (row, col) order: a k-d tree proposes
-    candidate pairs (the ball query of PointNet++, Qi et al., 2017) and
-    the shared distance kernel decides which of them are neighbors."""
-    check_radius(r)
+def _candidate_tree(pos: Array):
+    """k-d tree over the positions, clipped to +-1e150: the tree raises once
+    a cloud's extent passes ~1.3e154, and clipping never lengthens an offset."""
     # imported here, not at module level: loading scipy.spatial costs about
     # 0.12 s and 11 MB, which every process importing rgkit would pay
     from scipy.spatial import cKDTree
 
-    n = len(cloud)
-    pos = cloud.positions
-    # the tree raises once a cloud's extent passes ~1.3e154; clipping never
-    # lengthens an offset and the radius has slack over the kernel's
-    # rounding, so the candidates stay a superset of the neighbors
-    cand = cKDTree(np.clip(pos, -1e150, 1e150)).query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    return cKDTree(np.clip(pos, -1e150, 1e150))
+
+
+def _neighbor_index(tree, pos: Array, r: float) -> NeighborIndex:
+    # the radius has slack over the kernel's rounding, so the candidates stay
+    # a superset of the neighbors
+    cand = tree.query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    n = len(pos)
     self_pairs = np.arange(n)
     rows = np.concatenate([cand[:, 0], cand[:, 1], self_pairs])
     cols = np.concatenate([cand[:, 1], cand[:, 0], self_pairs])
@@ -379,16 +394,43 @@ def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
     return NeighborIndex(rows[order], cols[order], n)
 
 
-def lfa_index_scatter(cloud: PointCloud, layer: LinearLayer, r: float) -> Array:
+def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
+    """Enumerate neighbor pairs in (row, col) order: a k-d tree proposes
+    candidate pairs (the ball query of PointNet++, Qi et al., 2017) and
+    the shared distance kernel decides which of them are neighbors."""
+    check_radius(r)
+    return _neighbor_index(_candidate_tree(cloud.positions), cloud.positions, r)
+
+
+def lfa_index_scatter(
+    cloud: PointCloud, layer: LinearLayer, r: float, mem_cap: int = DEFAULT_MEM_CAP
+) -> Array:
     """Sparse variant: gather per-pair inputs, segment-mean them by center
-    index, then project each point's mean once."""
+    index, then project each point's mean once.
+
+    ``mem_cap`` bounds the bytes the pairs add to the per-point buffers
+    (the estimate at the pair count minus that at N self-pairs), as it
+    bounds the score block and not the (N, dim) arrays of :func:`gfa`.
+    When N^2 pairs could pass it, the tree first counts its candidates,
+    and a count that does not fit raises :class:`AllocationLimit` before
+    any pair is built."""
     _check_lfa_args(cloud, layer, r)
     n = len(cloud)
     if n == 0:
         return np.zeros((0, layer.out_dim))
-    idx = build_neighbor_index(cloud, r)
     pos = cloud.positions
     k = cloud.c_raw
+    base = index_scatter_mem_bytes(n, k, layer.out_dim, n)
+    tree = _candidate_tree(pos)
+    if index_scatter_mem_bytes(n, k, layer.out_dim, n * n) - base > mem_cap:
+        # ordered candidate pairs with self-pairs: what _neighbor_index holds
+        pairs = int(tree.count_neighbors(tree, r * (1 + 1e-9)))
+        need = index_scatter_mem_bytes(n, k, layer.out_dim, pairs) - base
+        if need > mem_cap:
+            raise AllocationLimit(
+                f"{pairs} neighbour candidates of N={n} points add {need} bytes, cap is {mem_cap}"
+            )
+    idx = _neighbor_index(tree, pos, r)
     # one gather yields (f_j, p_j); p_j is then overwritten by p_i - p_j
     pair = np.concatenate([cloud.features, pos], axis=1)[idx.col_idx]
     np.subtract(pos[idx.row_idx], pair[:, k:], out=pair[:, k:])

@@ -114,7 +114,7 @@ def run_bench(
                 broadcast_mem_bytes(n, c_raw),
             ),
             "index_scatter": (
-                lambda cl=cloud: lfa_index_scatter(cl, layer, r),
+                lambda cl=cloud: lfa_index_scatter(cl, layer, r, mem_cap),
                 index_scatter_mem_bytes(n, c_raw, c, n_pairs),
             ),
         }

@@ -434,9 +434,9 @@ def encode(
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
     projection, and tiled rasterization; ``threads`` is accepted and ignored,
-    ``mem_cap`` bounds the attention score block."""
+    ``mem_cap`` bounds the neighbour pairs and the attention score block."""
     settings = settings or RasterSettings()
-    f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
+    f_lfa = lfa_index_scatter(cloud, params.lfa, params.r, mem_cap)
     f_gfa = gfa(cloud, params.attn, mem_cap)
     scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head, params.s_min)
     pos = cloud.positions

@@ -72,6 +72,20 @@ def test_layernorm_formula():
         LayerNormParams(np.zeros((2, 2)), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_layers_reject_non_finite_parameters(bad):
+    w, v = np.eye(2), np.zeros(2)
+    w[1, 0] = bad
+    with pytest.raises(InvalidSpec, match="weight"):
+        LinearLayer(w)
+    with pytest.raises(InvalidSpec, match="bias"):
+        LinearLayer(np.eye(2), np.array([0.0, bad]))
+    with pytest.raises(InvalidSpec, match="gamma"):
+        LayerNormParams(np.array([1.0, bad]), v)
+    with pytest.raises(InvalidSpec, match="beta"):
+        LayerNormParams(np.ones(2), np.array([bad, 0.0]))
+
+
 def test_softplus_safe_and_correct():
     x = np.array([-800.0, -1.0, 0.0, 1.0, 800.0])
     out = softplus(x)
@@ -225,9 +239,9 @@ def test_neighbor_index_matches_bruteforce(case):
 
 
 def test_importing_rgkit_leaves_scipy_spatial_unloaded():
-    # build_neighbor_index imports it on first use; at import time it would
-    # add ~0.12 s and ~11 MB to every process
-    code = "import sys, rgkit; print('scipy.spatial' in sys.modules)"
+    # build_neighbor_index and gelu import scipy.spatial and scipy.special on
+    # first use; at import time they would add ~0.45 s and ~37 MB to every process
+    code = "import sys, rgkit; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     src = str(Path(rgkit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True)
@@ -241,6 +255,37 @@ def test_broadcast_respects_memory_cap():
         lfa_broadcast_mask(cloud, layer, 0.32, mem_cap=10_000)
     # the lean implementations have no dense N x N buffer to cap
     lfa_index_scatter(cloud, layer, 0.32)
+
+
+def test_index_scatter_counts_pairs_before_building_them():
+    # N coincident points are N^2 neighbour pairs: 216 MB of LFA buffers at
+    # N = 1500, which used to be built whatever mem_cap said
+    layer = init_weights(0, c_raw=1, c=8).lfa
+    cloud = PointCloud(np.zeros((1500, 3)), np.ones((1500, 1)))
+    cap = 1 << 21
+    tracemalloc.start()
+    try:
+        with pytest.raises(AllocationLimit, match="2250000 neighbour candidates of N=1500"):
+            lfa_index_scatter(cloud, layer, 0.32, mem_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
+def test_index_scatter_under_a_cap_that_takes_the_count_gives_the_same_bytes():
+    cloud = generate_scene(SceneSpec(seed=0, n_points=2000, n_clusters=4, cluster_sigma=0.5))
+    layer = init_weights(0, c_raw=4, c=64).lfa
+
+    def pair_bytes(pairs):  # what the cap bounds: the bytes pairs add over N self-pairs
+        return index_scatter_mem_bytes(2000, 4, 64, pairs) - index_scatter_mem_bytes(2000, 4, 64, 2000)
+
+    added = pair_bytes(len(build_neighbor_index(cloud, 0.32)))
+    assert 2 * added < pair_bytes(2000 * 2000)  # so a cap of 2 * added takes the count
+    want = lfa_index_scatter(cloud, layer, 0.32)
+    assert lfa_index_scatter(cloud, layer, 0.32, mem_cap=2 * added).tobytes() == want.tobytes()
+    with pytest.raises(AllocationLimit):
+        lfa_index_scatter(cloud, layer, 0.32, mem_cap=added - 1)
 
 
 def test_memory_estimates():
@@ -607,6 +652,10 @@ _BAD_WEIGHTS = {
     "r whose square overflows": ({"meta.r": 1e200}, InvalidSpec),
     "negative s_min": ({"meta.s_min": -1.0}, InvalidSpec),
     "infinite s_min": ({"meta.s_min": math.inf}, InvalidSpec),
+    "NaN in a weight": ({"gfa.qkv.weight": np.full((24, 8), math.nan)}, InvalidSpec),
+    "infinite bias": ({"lfa.bias": np.full(8, -math.inf)}, InvalidSpec),
+    "NaN gamma": ({"gfa.ln2.gamma": np.full(8, math.nan)}, InvalidSpec),
+    "infinite beta": ({"gfa.ln1.beta": np.full(8, math.inf)}, InvalidSpec),
 }
 
 
@@ -628,6 +677,17 @@ def test_load_weights_rejects_dims_beyond_the_bytes_left(tmp_path, dims):
     path = tmp_path / "big.rgwt"
     path.write_bytes(_rgwt(named, _tensor_header(b"extra", *dims) + bytes(8 * 999)))
     with pytest.raises(FormatError, match="truncated"):
+        load_weights(path)
+
+
+def test_load_weights_rejects_a_nan_feature_row_of_the_head(tmp_path):
+    # feature rows pass no other check: this file used to encode a 50-point
+    # scene into a map with 4096 NaN values, without an error or a warning
+    params = init_weights(1, c_raw=4, c=8)
+    params.head.weight[7] = math.nan
+    path = tmp_path / "nan.rgwt"
+    save_weights(params, path)
+    with pytest.raises(InvalidSpec, match="weight"):
         load_weights(path)
 
 

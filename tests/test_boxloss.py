@@ -359,6 +359,19 @@ def test_kernel_on_numpy_rows_matches_math_floats():
             assert abs(grad[j][i] - grad_f[j]) <= 1e-12 * max(1.0, abs(grad_f[j]))
 
 
+@pytest.mark.parametrize("seed", [1, 11, 61, 83, 97])
+def test_batch_gradient_equals_per_pair_gradient_bit_for_bit(seed):
+    # NumPy's cos/sin on rows and math's on floats agree here; a batch
+    # gradient may replace the per-pair loop only while this holds
+    cfg = default_config()
+    for batch in range(4):
+        preds, gts, classes = _benchmark_like_pairs([seed, batch], 1000)
+        a = np.array([cfg.a_for(c) for c in classes])
+        grad = np.stack(_kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)[1], axis=1)
+        want = np.array([bgl_gradient(p, t, a_i) for p, t, a_i in zip(preds, gts, a)])
+        assert grad.tobytes() == want.tobytes()
+
+
 def test_gradient_matches_finite_differences_on_elongated_boxes():
     preds, gts, classes = _benchmark_like_pairs(14, 100)
     rng = np.random.default_rng(14)

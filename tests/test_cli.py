@@ -177,6 +177,17 @@ def test_encode_mem_cap_too_small_for_one_attention_row_exits_3(tmp_path, small_
                  "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", "mem_cap=640"]) == 0
 
 
+def test_encode_mem_cap_too_small_for_the_neighbour_pairs_exits_3(tmp_path, capsys):
+    # 800 coincident points are 640 000 neighbour pairs (~62 MB of LFA
+    # buffers); mem_cap used not to bound them, and encode exited 0
+    cloud = _write_csv_cloud(tmp_path / "same.csv", ["1,2,0,1"] * 800)
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(cloud), "--out", str(out), "--set", "c=8",
+                 "--set", "h=32", "--set", "w=32", "--set", "mem_cap=12000"]) == 3
+    err = capsys.readouterr().err
+    assert "error: AllocationLimit" in err and "neighbour" in err and not out.exists()
+
+
 def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c0.csv"
     assert main(["generate", "--out", str(cloud), "--n", "20", "--c-raw", "0"]) == 0
@@ -363,6 +374,18 @@ def test_bgl_grad_check_counts_nan_as_failure(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "grad_check_max_rel_err = inf" in captured.out
     assert "gradient check failed" in captured.err
+
+
+def test_bgl_loads_no_scipy_module(tmp_path):
+    # only the encoder needs SciPy; a loss-only process must not pay its import
+    pred, gt = _write_box_pair(tmp_path)
+    code = ("import sys; from rgkit.cli import main; "
+            f"code = main(['bgl', '--pred', {str(pred)!r}, '--gt', {str(gt)!r}, '--grad-check']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(rgkit.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_bgl_non_utf8_box_file_exits_2(tmp_path, capsys):
