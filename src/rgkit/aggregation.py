@@ -9,15 +9,17 @@ center-minus-neighbor offset:
 * :func:`lfa_traversal` — scalar per-center scan; the reference oracle.
 * :func:`lfa_broadcast_mask` — materializes the dense ``N x N`` mask and
   an ``N x N x (c_raw + 3)`` pair tensor; fast but memory-hungry.
-* :func:`lfa_index_scatter` — takes candidate pairs from a k-d tree ball
-  query, keeps those the distance kernel accepts, segment-means the
-  per-pair inputs by center index, and applies the layer once per point;
-  fast and lean.
+* :func:`lfa_index_scatter` — takes candidate pairs from a NumPy cell
+  list (cubes of side ``r (1 + 1e-9)``; each point meets the rest of its
+  own cell and its 13 forward neighbour cells, so each unordered pair is
+  proposed once), keeps those the distance kernel accepts, segment-means
+  the per-pair inputs by center index, and applies the layer once per
+  point; fast and lean.
 
 All three evaluate squared distances with the same expression
 ``dx*dx + dy*dy + dz*dz`` and compare against ``r*r``, so the neighbor
-sets are bit-identical across implementations; the tree only proposes
-a superset of candidates.  The layer is affine, so the two optimized
+sets are bit-identical across implementations; the cell list only
+proposes a superset of candidates.  The layer is affine, so the two optimized
 variants project the neighborhood mean instead of averaging per-neighbor
 projections; outputs then agree to the rounding of that rearrangement
 (far below the 1e-9 equivalence budget).
@@ -69,6 +71,16 @@ SCALE_FLOOR = 1e-3
 DEFAULT_MEM_CAP = 1 << 30
 #: Query rows per attention score block; a small block stays resident in cache.
 GFA_ROWS = 64
+#: Neighbour candidates decided per block (whole points: fewer than N more).
+CANDIDATE_BLOCK = 1 << 15
+
+#: Cell-list keys pack the (x, y, z) cell coordinates in 21-bit fields.
+_KEY_Y = 1 << 21
+_KEY_X = 1 << 42
+_CELL_CLIP = 1 << 19
+#: Key offsets of the cell columns (dx, dy) a point searches, all at dz = 0:
+#: its own, then the four forward ones, (0, 1), (1, -1), (1, 0) and (1, 1).
+_COLUMNS = (0, _KEY_Y, _KEY_X - _KEY_Y, _KEY_X, _KEY_X + _KEY_Y)
 
 _W_MAGIC = b"RGWT"
 _W_VERSION = 1
@@ -298,16 +310,25 @@ def traversal_mem_bytes(n: int, c_raw: int, c: int) -> int:
     return 8 * n * (c_raw + 3 + c)
 
 
-def index_scatter_mem_bytes(n: int, c_raw: int, c: int, n_pairs: int) -> int:
-    """Dominant transient bytes of :func:`lfa_index_scatter`, taking the
-    tree's candidates to be about as many as the neighbor pairs.  The index
-    build holds the clipped positions, the candidate and oriented pairs, two
-    gathered position blocks with their offsets, and the tree's nodes (at
-    most ``2n`` of 72 bytes, unseen by ``tracemalloc``).  The reduce phase
-    holds the index, the ``n_pairs x (c_raw + 3)`` pair tensor, one gathered
-    position block, the per-point table, counts, offsets, sums, means and
-    output (before and after the bias), and matmul's 64 KiB buffer."""
-    build = 96 * n_pairs + 184 * n
+def index_scatter_mem_bytes(
+    n: int, c_raw: int, c: int, n_pairs: int, n_candidates: int | None = None
+) -> int:
+    """Dominant transient bytes of :func:`lfa_index_scatter` with
+    ``n_pairs`` ordered neighbor pairs (self-pairs included) out of
+    ``n_candidates`` unordered cell-list candidates; ``None`` stands for
+    a full block of them.  The index build holds the cell list (the
+    relative cells, keys, sort order, sorted positions and per-point
+    candidate ranges), one block of candidates (at most
+    ``CANDIDATE_BLOCK + n``) with its two gathered position blocks, the
+    kept pairs as keys, and at the end the sorted keys with the rows and
+    columns.  The reduce phase holds the index, the ``n_pairs x (c_raw + 3)``
+    pair tensor, one gathered position block, the per-point table, counts,
+    offsets, sums, means and output (before and after the bias), and
+    matmul's 64 KiB buffer."""
+    block = CANDIDATE_BLOCK + n
+    if n_candidates is not None:
+        block = min(block, n_candidates)
+    build = 24 * n_pairs + 72 * block + 240 * n
     reduce = n_pairs * (40 + 8 * (c_raw + 3)) + 8 * n * (3 * (c_raw + 3) + 2 * c + 2) + 65536
     return max(build, reduce)
 
@@ -355,6 +376,8 @@ class NeighborIndex:
     row_idx: Array
     col_idx: Array
     n_points: int
+    #: unordered candidate pairs the cell list proposed
+    n_candidates: int = 0
 
     def __post_init__(self) -> None:
         if self.row_idx.shape != self.col_idx.shape or self.row_idx.ndim != 1:
@@ -368,38 +391,101 @@ class NeighborIndex:
         return np.bincount(self.row_idx, minlength=self.n_points)
 
 
-def _candidate_tree(pos: Array):
-    """k-d tree over the positions, clipped to +-1e150: the tree raises once
-    a cloud's extent passes ~1.3e154, and clipping never lengthens an offset."""
-    # imported here, not at module level: loading scipy.spatial costs about
-    # 0.12 s and 11 MB, which every process importing rgkit would pay
-    from scipy.spatial import cKDTree
+def _cell_ranges(pos: Array, r: float) -> tuple:
+    """Cell list of the positions: the permutation that sorts the points by
+    cell, and per point in that order the counts and first sorted positions
+    of its candidates, one range per cell column (see :data:`_COLUMNS`).
 
-    return cKDTree(np.clip(pos, -1e150, 1e150))
-
-
-def _neighbor_index(tree, pos: Array, r: float) -> NeighborIndex:
-    # the radius has slack over the kernel's rounding, so the candidates stay
-    # a superset of the neighbors
-    cand = tree.query_pairs(r * (1 + 1e-9), output_type="ndarray")
+    A point's candidates are the points after it in its own cell and all
+    points of its 13 forward neighbour cells, so each unordered candidate
+    pair is proposed once."""
+    # Cells are cubes of side r (1 + 1e-9) counted from the per-axis median,
+    # a point of the cloud: an offset of the cloud moves no point to another
+    # cell, and one far outlier cannot push the rest past the clip into one
+    # cell, as it could from the minimum corner.  Why the candidates are a
+    # superset of the neighbours: a neighbour pair's offset is below
+    # r (1 + 3e-16) on every axis, since the kernel's squares are rounded.
+    # The relative cell coordinates are clipped to [-2^19, 2^19], and
+    # overflow to inf clips too; inside the clip, the subtraction and the
+    # division err by at most 2^19 2^-52 cells, far below the 1e-9 slack.
+    # Rounding and clipping are monotone and clipping never lengthens an
+    # offset, so the two cells of a neighbour pair differ by at most 1 on
+    # every axis.
     n = len(pos)
-    self_pairs = np.arange(n)
-    rows = np.concatenate([cand[:, 0], cand[:, 1], self_pairs])
-    cols = np.concatenate([cand[:, 1], cand[:, 0], self_pairs])
-    # huge finite coordinates overflow to inf, which just means "not a neighbour"
     with np.errstate(over="ignore"):
-        keep = _sq_norms(pos[rows] - pos[cols]) < r * r
-    rows, cols = rows[keep], cols[keep]
-    order = np.lexsort((cols, rows))
-    return NeighborIndex(rows[order], cols[order], n)
+        rel = pos - np.partition(pos, n // 2, axis=0)[n // 2]
+        rel /= r * (1 + 1e-9)
+    np.clip(rel, -_CELL_CLIP, _CELL_CLIP, out=rel)
+    # shifted to [1, 2^20 + 1], so a neighbour cell's coordinate never
+    # carries into the next field of the key
+    cell = np.floor(rel, out=rel).astype(np.int64) + (_CELL_CLIP + 1)
+    key = (cell[:, 0] * _KEY_X + cell[:, 1] * _KEY_Y) + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty((n, len(_COLUMNS)), dtype=np.intp)
+    end = np.empty_like(first)
+    # the own column: the rest of the own cell, then the cell at dz = +1
+    first[:, 0] = np.arange(1, n + 1)
+    end[:, 0] = np.searchsorted(key, key + 1, "right")
+    for col, off in enumerate(_COLUMNS[1:], 1):
+        # cells dz = -1, 0, +1 of one column are adjacent in key order
+        first[:, col] = np.searchsorted(key, key + (off - 1), "left")
+        end[:, col] = np.searchsorted(key, key + (off + 1), "right")
+    end -= first
+    return order, end, first
+
+
+def _neighbor_index(pos: Array, r: float, check=None) -> NeighborIndex:
+    """Neighbor pairs from the cell list's candidates, decided by the shared
+    kernel in blocks of about :data:`CANDIDATE_BLOCK` candidates.  ``check``,
+    if given, is called with the candidate count and the pairs kept so far
+    before each block and once after the last."""
+    n = len(pos)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return NeighborIndex(empty, empty, 0)
+    order, counts, first = _cell_ranges(pos, r)
+    per_point = counts.sum(axis=1)
+    candidates = int(per_point.sum())
+    # blocks of whole points: a point proposes fewer than N candidates
+    starts = np.cumsum(per_point) - per_point
+    edges = [*np.searchsorted(starts, np.arange(0, candidates, CANDIDATE_BLOCK)).tolist(), n]
+    pst = np.ascontiguousarray(pos[order].T)  # (3, N): one-axis takes are fast
+    keys = []
+    pairs = n
+    for p0, p1 in zip(edges[:-1], edges[1:]):
+        if check is not None:
+            check(candidates, pairs)
+        cnt = counts[p0:p1].ravel()
+        a = np.repeat(np.arange(p0, p1), per_point[p0:p1])
+        b = np.repeat(first[p0:p1].ravel() - (np.cumsum(cnt) - cnt), cnt)
+        b += np.arange(b.size)
+        d = pst.take(a, axis=1)
+        # huge finite coordinates overflow to inf, which just means "not a neighbour"
+        with np.errstate(over="ignore"):
+            d -= pst.take(b, axis=1)
+            keep = np.flatnonzero(_sq_norms(d.T) < r * r)
+        del d
+        a, b = order.take(a.take(keep)), order.take(b.take(keep))
+        # both orientations as row * N + col, which sorts in (row, col) order
+        keys += [a * n + b, b * n + a]
+        pairs += 2 * a.size
+    if check is not None:
+        check(candidates, pairs)
+    keys.append(np.arange(n) * (n + 1))
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    rows, cols = np.divmod(key, n)
+    return NeighborIndex(rows, cols, n, candidates)
 
 
 def build_neighbor_index(cloud: PointCloud, r: float) -> NeighborIndex:
-    """Enumerate neighbor pairs in (row, col) order: a k-d tree proposes
-    candidate pairs (the ball query of PointNet++, Qi et al., 2017) and
-    the shared distance kernel decides which of them are neighbors."""
+    """Enumerate neighbor pairs in (row, col) order: a cell list proposes
+    candidate pairs (the fixed-radius search of Bentley, 1975) and the
+    shared distance kernel decides which of them are neighbors."""
     check_radius(r)
-    return _neighbor_index(_candidate_tree(cloud.positions), cloud.positions, r)
+    return _neighbor_index(cloud.positions, r)
 
 
 def lfa_index_scatter(
@@ -409,28 +495,29 @@ def lfa_index_scatter(
     index, then project each point's mean once.
 
     ``mem_cap`` bounds the bytes the pairs add to the per-point buffers
-    (the estimate at the pair count minus that at N self-pairs), as it
-    bounds the score block and not the (N, dim) arrays of :func:`gfa`.
-    When N^2 pairs could pass it, the tree first counts its candidates,
-    and a count that does not fit raises :class:`AllocationLimit` before
-    any pair is built."""
+    (:func:`index_scatter_mem_bytes` at the candidate and pair counts minus
+    that at N self-pairs), as it bounds the score block and not the
+    (N, dim) arrays of :func:`gfa`.  The bound is checked from the exact
+    candidate count before any candidate is expanded, before each block of
+    candidates with the pairs kept so far, and at the final pair count; a
+    count that does not fit raises :class:`AllocationLimit`."""
     _check_lfa_args(cloud, layer, r)
     n = len(cloud)
     if n == 0:
         return np.zeros((0, layer.out_dim))
     pos = cloud.positions
     k = cloud.c_raw
-    base = index_scatter_mem_bytes(n, k, layer.out_dim, n)
-    tree = _candidate_tree(pos)
-    if index_scatter_mem_bytes(n, k, layer.out_dim, n * n) - base > mem_cap:
-        # ordered candidate pairs with self-pairs: what _neighbor_index holds
-        pairs = int(tree.count_neighbors(tree, r * (1 + 1e-9)))
-        need = index_scatter_mem_bytes(n, k, layer.out_dim, pairs) - base
+    base = index_scatter_mem_bytes(n, k, layer.out_dim, n, 0)
+
+    def check(candidates: int, pairs: int) -> None:
+        need = index_scatter_mem_bytes(n, k, layer.out_dim, pairs, candidates) - base
         if need > mem_cap:
             raise AllocationLimit(
-                f"{pairs} neighbour candidates of N={n} points add {need} bytes, cap is {mem_cap}"
+                f"{2 * candidates + n} neighbour candidates of N={n} points add {need} bytes "
+                f"at {pairs} pairs kept, cap is {mem_cap}"
             )
-    idx = _neighbor_index(tree, pos, r)
+
+    idx = _neighbor_index(pos, r, check)
     # one gather yields (f_j, p_j); p_j is then overwritten by p_i - p_j
     pair = np.concatenate([cloud.features, pos], axis=1)[idx.col_idx]
     np.subtract(pos[idx.row_idx], pair[:, k:], out=pair[:, k:])

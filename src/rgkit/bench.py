@@ -103,7 +103,7 @@ def run_bench(
         cloud = generate_scene(SceneSpec(seed=seed, n_points=n, c_raw=c_raw))
         reference = lfa_traversal(cloud, layer, r)
         ref_sum = _checksum(reference)
-        n_pairs = len(build_neighbor_index(cloud, r).row_idx)
+        index = build_neighbor_index(cloud, r)
         impls = {
             "traversal": (
                 lambda cl=cloud: lfa_traversal(cl, layer, r),
@@ -115,7 +115,7 @@ def run_bench(
             ),
             "index_scatter": (
                 lambda cl=cloud: lfa_index_scatter(cl, layer, r, mem_cap),
-                index_scatter_mem_bytes(n, c_raw, c, n_pairs),
+                index_scatter_mem_bytes(n, c_raw, c, len(index), index.n_candidates),
             ),
         }
         for name in _IMPL_NAMES:

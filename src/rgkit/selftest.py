@@ -93,6 +93,13 @@ def _check_neighbor_index() -> None:
     for i in range(len(cloud)):
         assert (i, i) in pairs, f"self pair missing for point {i}"
     assert all((j, i) in pairs for i, j in pairs), "neighbor relation not symmetric"
+    # cells count from the cloud, not from the origin: 5000 km away the
+    # same cloud has the same cells, candidates and pairs
+    far = aggregation.build_neighbor_index(PointCloud(cloud.positions + 5e6, cloud.features), 0.5)
+    assert far.n_candidates == index.n_candidates, (
+        f"{far.n_candidates} neighbor candidates 5000 km away, {index.n_candidates} at the origin")
+    assert np.array_equal(far.row_idx, index.row_idx) and np.array_equal(
+        far.col_idx, index.col_idx), "neighbor pairs change 5000 km away"
 
 
 def _check_gfa_equivariance() -> None:

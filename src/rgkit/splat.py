@@ -81,13 +81,22 @@ from .aggregation import (
     lfa_index_scatter,
     predict_attribute_arrays,
 )
-from .errors import FormatError, InvalidSpec, NonPositiveScale, ShapeMismatch, SingularCovariance
+from .errors import (
+    AllocationLimit,
+    FormatError,
+    InvalidSpec,
+    NonPositiveScale,
+    ShapeMismatch,
+    SingularCovariance,
+)
 from .geom import DET_EPS, quat_normalize
 from .pointcloud import BevRange, PointCloud
 
 Array = np.ndarray
 
 BLEND_ORDERS = ("z-asc", "z-desc", "index")
+#: Transient bytes per (splat, tile) candidate while binning tests it.
+BIN_CANDIDATE_BYTES = 300
 
 _MAGIC = b"RGFM"
 _VERSION = 1
@@ -246,9 +255,12 @@ def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
     return [splats[i] for i in _blend_order(z, src, blend_order)]
 
 
-def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings):
+def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
+         mem_cap: int = DEFAULT_MEM_CAP):
     """Bin blend-sorted splats into every tile where their alpha can reach
-    ``alpha_min``; tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending."""
+    ``alpha_min``; tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending.
+    The (splat, tile) candidates are spread and tested in blocks of as many
+    as ``mem_cap`` holds at :data:`BIN_CANDIDATE_BYTES` each."""
     ts = settings.tile_size
     ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
     a, b, c = cov2d.T
@@ -267,27 +279,48 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings):
             np.clip(np.floor(v / ts), 0, n - 1).astype(np.int64)
             for v, n in ((mx - r, ntx), (mx + r, ntx), (my - r, nty), (my + r, nty))
         )
-        # candidates: every tile the coverage disc touches
+        # candidates: every tile the coverage disc touches, numbered splat by
+        # splat and spread in blocks that fit mem_cap
         nx = tx1 - tx0 + 1
         counts = nx * (ty1 - ty0 + 1)
-        pair = np.repeat(np.arange(idx.size), counts)
-        j = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        ty, tx = ty0[pair] + j // nx[pair], tx0[pair] + j % nx[pair]
-        # the tile's pixel centres lie at offsets [u0, u1] x [v0, v1] from the mean
-        u0, u1 = (tx * ts + 0.5) - mx[pair], (np.minimum(tx * ts + ts, bev.w) - 0.5) - mx[pair]
-        v0, v1 = (ty * ts + 0.5) - my[pair], (np.minimum(ty * ts + ts, bev.h) - 0.5) - my[pair]
-        (ia, ib, ic), k2 = inv[idx[pair]].T, k2[idx[pair]]
-        # with ia, ic > 0 the minimum over the rectangle is at most 0 with the
-        # mean inside, else the least of the four edges' clamped minima; the
-        # margin covers float64 rounding here and in the blend.  NaN keeps a pair.
-        u = np.array([u0, u1, np.clip(-(ib * v0) / ia, u0, u1), np.clip(-(ib * v1) / ia, u0, u1)])
-        v = np.array([np.clip(-(ib * u0) / ic, v0, v1), np.clip(-(ib * u1) / ic, v0, v1), v0, v1])
-        qmin = ((ia * u) * u + 2.0 * ib * (u * v) + (ic * v) * v).min(axis=0)
-        qmin[(u0 <= 0) & (u1 >= 0) & (v0 <= 0) & (v1 >= 0)] = 0.0
-        margin = 1e-12 * (1 + k2 + ia * np.maximum(u0 * u0, u1 * u1)
-                          + ic * np.maximum(v0 * v0, v1 * v1))
-        hit = ~((ia > 0) & (ic > 0) & (qmin > k2 + margin))
-    pair, tile = pair[hit], (ty * ntx + tx)[hit]
+        ends = np.cumsum(counts)
+        first = ends - counts
+        total = int(ends[-1]) if ends.size else 0
+        block = mem_cap // BIN_CANDIDATE_BYTES
+        if total and block < 1:
+            raise AllocationLimit(f"one of {total} (splat, tile) candidates needs "
+                                  f"{BIN_CANDIDATE_BYTES} bytes, cap is {mem_cap}")
+        hits, tiles = [], []
+        for c0 in range(0, total, max(block, 1)):
+            # candidates [c0, c1): from inside splat s0 to inside splat s1
+            c1 = min(c0 + block, total)
+            s0, s1 = np.searchsorted(ends, (c0, c1 - 1), "right").tolist()
+            span = slice(s0, s1 + 1)
+            pair = np.repeat(np.arange(s0, s1 + 1),
+                             np.minimum(ends[span], c1) - np.maximum(first[span], c0))
+            j = np.arange(c0, c1) - first[pair]
+            ty, tx = ty0[pair] + j // nx[pair], tx0[pair] + j % nx[pair]
+            # the tile's pixel centres lie at offsets [u0, u1] x [v0, v1] from the mean
+            u0, u1 = (tx * ts + 0.5) - mx[pair], (np.minimum(tx * ts + ts, bev.w) - 0.5) - mx[pair]
+            v0, v1 = (ty * ts + 0.5) - my[pair], (np.minimum(ty * ts + ts, bev.h) - 0.5) - my[pair]
+            (ia, ib, ic), kk = inv[idx[pair]].T, k2[idx[pair]]
+            # with ia, ic > 0 the minimum over the rectangle is at most 0 with the
+            # mean inside, else the least of the four edges' clamped minima; the
+            # margin covers float64 rounding here and in the blend.  NaN keeps a pair.
+            u = np.array([u0, u1, np.clip(-(ib * v0) / ia, u0, u1),
+                          np.clip(-(ib * v1) / ia, u0, u1)])
+            v = np.array([np.clip(-(ib * u0) / ic, v0, v1), np.clip(-(ib * u1) / ic, v0, v1),
+                          v0, v1])
+            qmin = ((ia * u) * u + 2.0 * ib * (u * v) + (ic * v) * v).min(axis=0)
+            qmin[(u0 <= 0) & (u1 >= 0) & (v0 <= 0) & (v1 >= 0)] = 0.0
+            margin = 1e-12 * (1 + kk + ia * np.maximum(u0 * u0, u1 * u1)
+                              + ic * np.maximum(v0 * v0, v1 * v1))
+            hit = ~((ia > 0) & (ic > 0) & (qmin > kk + margin))
+            hits.append(pair[hit])
+            tiles.append((ty * ntx + tx)[hit])
+    pair = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+    tile = np.concatenate([np.zeros(0, dtype=np.int64), *tiles])
+    del hits, tiles
     starts = np.concatenate([[0], np.cumsum(np.bincount(tile, minlength=ntx * nty))])
     return idx[pair[np.argsort(tile, kind="stable")]], starts
 
@@ -324,9 +357,11 @@ def _blend_sum(feats: Array, weights: Array) -> Array:
     return np.einsum("kc,kp->cp", feats, weights)
 
 
-def _composite(mean2d, cov2d, inv, opacity, features, bev, settings) -> BevFeatureMap:
-    """Bin and blend splats given in blend order (float32 accumulation)."""
-    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
+def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
+               mem_cap: int = DEFAULT_MEM_CAP) -> BevFeatureMap:
+    """Bin and blend splats given in blend order (float32 accumulation);
+    ``mem_cap`` bounds binning's candidates."""
+    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
     out = np.zeros((features.shape[1], bev.h, bev.w), dtype=np.float32)
     feats32 = features.astype(np.float32)
     ts, t_min = settings.tile_size, np.float32(settings.t_min)
@@ -434,7 +469,8 @@ def encode(
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
     projection, and tiled rasterization; ``threads`` is accepted and ignored,
-    ``mem_cap`` bounds the neighbour pairs and the attention score block."""
+    ``mem_cap`` bounds the neighbour pairs, the attention score block and
+    binning's (splat, tile) candidates."""
     settings = settings or RasterSettings()
     f_lfa = lfa_index_scatter(cloud, params.lfa, params.r, mem_cap)
     f_gfa = gfa(cloud, params.attn, mem_cap)
@@ -442,7 +478,8 @@ def encode(
     pos = cloud.positions
     mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
     o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
-    return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev, settings)
+    return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev, settings,
+                      mem_cap)
 
 
 def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:

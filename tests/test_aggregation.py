@@ -18,6 +18,7 @@ from scipy.special import erf
 
 import rgkit
 from rgkit.aggregation import (
+    DEFAULT_MEM_CAP,
     AttentionBlock,
     LayerNormParams,
     LinearLayer,
@@ -238,14 +239,30 @@ def test_neighbor_index_matches_bruteforce(case):
     assert np.all(index.counts() >= 1)  # self pair guarantees nonzero rows
 
 
-def test_importing_rgkit_leaves_scipy_spatial_unloaded():
-    # build_neighbor_index and gelu import scipy.spatial and scipy.special on
-    # first use; at import time they would add ~0.45 s and ~37 MB to every process
-    code = "import sys, rgkit; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter that runs ``code``."""
+    code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(rgkit.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    out = subprocess.run([sys.executable, "-c", "import sys; " + code],
+                         env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_importing_rgkit_leaves_scipy_spatial_unloaded():
+    # gelu imports scipy.special on first use; at import time it would add
+    # ~0.33 s and ~26 MB to every process
+    assert _scipy_modules_after("import rgkit") == []
+
+
+def test_encode_leaves_scipy_spatial_unloaded():
+    # the neighbour search is a NumPy cell list; only gelu needs scipy.special
+    loaded = _scipy_modules_after(
+        "import rgkit; from rgkit.pointcloud import SceneSpec, generate_scene; "
+        "rgkit.encode(generate_scene(SceneSpec(seed=0, n_points=60)), rgkit.init_weights(0, c=8), "
+        "rgkit.BevRange(0.0, 51.2, -25.6, 25.6, 64, 64))")
+    assert "scipy.special" in loaded
+    assert not any(m.startswith("scipy.spatial") for m in loaded)
 
 
 def test_broadcast_respects_memory_cap():
@@ -276,16 +293,48 @@ def test_index_scatter_counts_pairs_before_building_them():
 def test_index_scatter_under_a_cap_that_takes_the_count_gives_the_same_bytes():
     cloud = generate_scene(SceneSpec(seed=0, n_points=2000, n_clusters=4, cluster_sigma=0.5))
     layer = init_weights(0, c_raw=4, c=64).lfa
-
-    def pair_bytes(pairs):  # what the cap bounds: the bytes pairs add over N self-pairs
-        return index_scatter_mem_bytes(2000, 4, 64, pairs) - index_scatter_mem_bytes(2000, 4, 64, 2000)
-
-    added = pair_bytes(len(build_neighbor_index(cloud, 0.32)))
-    assert 2 * added < pair_bytes(2000 * 2000)  # so a cap of 2 * added takes the count
+    index = build_neighbor_index(cloud, 0.32)
+    # what the cap bounds: the estimate at the counted candidates and pairs
+    # minus that at N self-pairs and no candidates
+    fit = (index_scatter_mem_bytes(2000, 4, 64, len(index), index.n_candidates)
+           - index_scatter_mem_bytes(2000, 4, 64, 2000, 0))
     want = lfa_index_scatter(cloud, layer, 0.32)
-    assert lfa_index_scatter(cloud, layer, 0.32, mem_cap=2 * added).tobytes() == want.tobytes()
+    assert lfa_index_scatter(cloud, layer, 0.32, mem_cap=fit).tobytes() == want.tobytes()
     with pytest.raises(AllocationLimit):
-        lfa_index_scatter(cloud, layer, 0.32, mem_cap=added - 1)
+        lfa_index_scatter(cloud, layer, 0.32, mem_cap=fit - 1)
+
+
+def _smallest_passing_cap(cloud, layer) -> int:
+    lo, hi = 0, DEFAULT_MEM_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            lfa_index_scatter(cloud, layer, 0.32, mem_cap=mid)
+            hi = mid
+        except AllocationLimit:
+            lo = mid + 1
+    return lo
+
+
+def test_index_scatter_needs_no_larger_cap_5000_km_away():
+    # cells counted from absolute coordinates and clipped would put the
+    # whole cloud into one cell at a UTM-scale offset: N^2 / 2 candidates
+    cloud = generate_scene(SceneSpec(seed=3, n_points=400, n_clusters=4, cluster_sigma=0.5))
+    layer = init_weights(3, c_raw=4, c=16).lfa
+    cap = _smallest_passing_cap(cloud, layer)
+    shifted = PointCloud(cloud.positions + 5e6, cloud.features)
+    assert lfa_index_scatter(shifted, layer, 0.32, mem_cap=cap).shape == (400, 16)
+
+
+def test_one_far_outlier_does_not_put_the_cloud_into_one_cell():
+    # cells counted from the minimum corner would put every other point
+    # past the clip, into one cell, when the outlier lies below the cloud
+    cloud = generate_scene(SceneSpec(seed=3, n_points=400, n_clusters=4, cluster_sigma=0.5))
+    alone = build_neighbor_index(cloud, 0.32).n_candidates
+    for far in (-1e7, 1e7):
+        pos = np.vstack([cloud.positions, np.full((1, 3), far)])
+        with_outlier = build_neighbor_index(PointCloud(pos, np.zeros((401, 1))), 0.32)
+        assert with_outlier.n_candidates < 2 * alone
 
 
 def test_memory_estimates():

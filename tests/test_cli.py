@@ -188,6 +188,21 @@ def test_encode_mem_cap_too_small_for_the_neighbour_pairs_exits_3(tmp_path, caps
     assert "error: AllocationLimit" in err and "neighbour" in err and not out.exists()
 
 
+def test_encode_mem_cap_too_small_for_one_tile_candidate_exits_3(tmp_path, capsys):
+    # binning's (splat, tile) candidates are ~300 bytes each; mem_cap used
+    # not to bound them, and encode exited 0 below one of them
+    cloud = tmp_path / "c20.csv"
+    assert main(["generate", "--out", str(cloud), "--n", "20", "--seed", "3"]) == 0
+    out = tmp_path / "m.rgfm"
+    args = ["encode", "--cloud", str(cloud), "--out", str(out), "--set", "c=8",
+            "--set", "h=64", "--set", "w=64"]
+    assert main(args + ["--set", "mem_cap=200"]) == 3  # one attention row is 160 bytes
+    err = capsys.readouterr().err
+    assert "error: AllocationLimit" in err and "(splat, tile) candidates" in err
+    assert not out.exists()
+    assert main(args + ["--set", "mem_cap=400"]) == 0
+
+
 def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c0.csv"
     assert main(["generate", "--out", str(cloud), "--n", "20", "--c-raw", "0"]) == 0

@@ -2,7 +2,9 @@
 ``read_boxes``, ``bgl``, ``bgl_gradient`` and ``encode`` return a finite
 result, ``load_weights`` returns a parameter set, or they raise a typed
 ``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4, never 1.  A leaked NumPy
-``RuntimeWarning`` fails these tests too (see pyproject)."""
+``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
+index equals the brute-force distance kernel on clouds placed on and
+around cell boundaries."""
 
 import contextlib
 import io
@@ -14,7 +16,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rgkit.aggregation import PgeParams, init_weights, load_weights, save_weights
+from rgkit.aggregation import (
+    PgeParams,
+    build_neighbor_index,
+    init_weights,
+    load_weights,
+    save_weights,
+)
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
 from rgkit.errors import RgkError
@@ -173,3 +181,45 @@ def test_load_weights_returns_params_or_a_typed_error(blob):
         except RgkError:
             return
     assert isinstance(params, PgeParams)
+
+
+@st.composite
+def neighbour_clouds(draw):
+    """Up to 30 rows on multiples of r / 2 and of the cell side r (1 + 1e-9)
+    over 2, or between them, each maybe one ulp off, at an offset up to
+    1e12, with duplicates and rows at +-1e308; returns the positions and r."""
+    r = draw(st.sampled_from([0.32, 0.1, 1.0, 1e-3, 7.5]))
+    offset = draw(st.sampled_from([0.0, 5e6, -1e9, 1e12, -1e12]))
+    step = draw(st.sampled_from([r, r * (1 + 1e-9)]))
+    # halves of the step too, and points in between, so that pairs also
+    # cross cells diagonally
+    multiple = st.one_of(st.integers(-4, 4).map(lambda k: k / 2), st.floats(-2.0, 2.0))
+
+    def place(k, ulp):
+        x = offset + k * step
+        return np.nextafter(x, ulp * math.inf) if ulp else x
+
+    coordinate = st.builds(place, multiple, st.sampled_from([0, -1, 1]))
+    row = st.one_of(st.tuples(coordinate, coordinate, coordinate),
+                    st.sampled_from([(1e308, 0.0, 0.0), (-1e308, -1e308, 1e308)]))
+    rows = draw(st.lists(row, max_size=24))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    return np.array(rows, dtype=np.float64).reshape(-1, 3), r
+
+
+@_SETTINGS
+@given(neighbour_clouds())
+def test_neighbor_index_is_the_bruteforce_kernel(cloud_r):
+    pos, r = cloud_r
+    xs, ys, zs = (pos[:, k].tolist() for k in range(3))
+    rows, cols = [], []
+    for i in range(len(pos)):
+        for j in range(len(pos)):
+            dx, dy, dz = xs[i] - xs[j], ys[i] - ys[j], zs[i] - zs[j]
+            if dx * dx + dy * dy + dz * dz < r * r:
+                rows.append(i)
+                cols.append(j)
+    index = build_neighbor_index(PointCloud(pos, np.zeros((len(pos), 1))), r)
+    for got, want in ((index.row_idx, rows), (index.col_idx, cols)):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.array(want, dtype=np.intp))

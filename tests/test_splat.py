@@ -3,6 +3,7 @@ pillar baseline, encoder determinism, and map file formats."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rgkit.aggregation import (
     softplus,
 )
 from rgkit.errors import (
+    AllocationLimit,
     FormatError,
     InvalidSpec,
     ShapeMismatch,
@@ -24,6 +26,7 @@ from rgkit.geom import covariance_from_scale_rot, quat_normalize, quat_to_rotmat
 from rgkit.pointcloud import BevRange, PointCloud, SceneSpec, generate_scene
 from rgkit.rng import SplitMix64, stream_seed
 from rgkit.splat import (
+    BIN_CANDIDATE_BYTES,
     BLEND_ORDERS,
     BevFeatureMap,
     RasterSettings,
@@ -614,6 +617,35 @@ def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size):
         _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
                            _ref_rasterize(splats, bev, 1, settings))
     assert culled > 0
+
+
+def test_binning_spreads_candidates_in_blocks_under_mem_cap():
+    # at a 50 m scale floor each of 600 splats covers all 400 tiles of the
+    # vod map: 240 k (splat, tile) candidates, which binning used to spread
+    # at once whatever mem_cap said (64 MB traced under a 2 MiB cap)
+    cloud = generate_scene(SceneSpec(seed=0, n_points=600))
+    params = init_weights(0, c_raw=4, c=8, s_min=50.0)
+    want = encode(cloud, params, VOD)
+    tracemalloc.start()
+    try:
+        got = encode(cloud, params, VOD, mem_cap=2 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_bytes(got.data, want.data)
+    assert peak < 16 << 20
+
+
+def test_binning_blocks_split_splats_and_keep_the_bytes():
+    # 6 splats of 400 tiles each: blocks of one and of 997 candidates end
+    # inside a splat's tiles; a cap below one candidate cannot be met
+    cloud = generate_scene(SceneSpec(seed=1, n_points=6))
+    params = init_weights(1, c_raw=4, c=8, s_min=50.0)
+    want = encode(cloud, params, VOD)
+    for cap in (BIN_CANDIDATE_BYTES, 997 * BIN_CANDIDATE_BYTES):
+        _assert_same_bytes(encode(cloud, params, VOD, mem_cap=cap).data, want.data)
+    with pytest.raises(AllocationLimit, match="2400 .splat, tile. candidates"):
+        encode(cloud, params, VOD, mem_cap=BIN_CANDIDATE_BYTES - 1)
 
 
 def test_one_channel_one_pixel_corner_tile_matches_per_object_pipeline():
