@@ -58,6 +58,7 @@ from .errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from .geom import quat_normalize
 from .pointcloud import PointCloud
 from .rng import SplitMix64, stream_seed
+from .special import gelu
 
 Array = np.ndarray
 
@@ -69,6 +70,11 @@ DEFAULT_DIM = 64
 SCALE_FLOOR = 1e-3
 #: Default cap for the dense broadcast buffers and attention score blocks (bytes).
 DEFAULT_MEM_CAP = 1 << 30
+#: Largest parameter set :func:`init_weights` draws (bytes).  It is not
+#: ``mem_cap``, which bounds each stage's input-sized buffers and may be far
+#: smaller than any weights; a cloud header with billions of channels would
+#: otherwise ask for terabytes.
+MAX_WEIGHT_BYTES = 1 << 30
 #: Query rows per attention score block; a small block stays resident in cache.
 GFA_ROWS = 64
 #: Neighbour candidates decided per block (whole points: fewer than N more).
@@ -169,18 +175,6 @@ class LayerNormParams:
         mu = x.mean(axis=-1, keepdims=True)
         var = np.square(x - mu).mean(axis=-1, keepdims=True)
         return self.gamma * (x - mu) / np.sqrt(var + self.eps) + self.beta
-
-
-def gelu(x: Array) -> Array:
-    """Exact Gaussian-error linear unit: ``0.5 * x * (1 + erf(x / sqrt(2)))``."""
-    # imported here, not at module level: loading scipy.special costs about
-    # 0.33 s and 26 MB, which every process importing rgkit would pay, and
-    # only the attention FFN needs it
-    from scipy.special import erf
-
-    y = erf(x / math.sqrt(2.0)) + 1.0
-    y *= 0.5 * x
-    return y
 
 
 def softplus(x: Array) -> Array:
@@ -678,6 +672,19 @@ def _assemble(lin, ln, n_heads: int, r: float, s_min: float) -> PgeParams:
     return PgeParams(lin("lfa"), attn, lin("head"), r, s_min)
 
 
+def _layer_shapes(c_raw: int, c: int) -> dict[str, tuple]:
+    """(out_dim, in_dim) of every linear layer under its RGWT name."""
+    return {"lfa": (c, c_raw + 3), "gfa.input": (c, c_raw), "gfa.qkv": (3 * c, c),
+            "gfa.out": (c, c), "gfa.ffn1": (2 * c, c), "gfa.ffn2": (c, 2 * c),
+            "head": (7 + c, c_raw + 2 * c)}
+
+
+def weights_mem_bytes(c_raw: int, c: int) -> int:
+    """Bytes of the float64 tensors of :func:`init_weights`: every weight
+    and bias, and the two layer norms' gamma and beta."""
+    return 8 * (sum(o * (i + 1) for o, i in _layer_shapes(c_raw, c).values()) + 4 * c)
+
+
 def init_weights(
     seed: int,
     c_raw: int = 4,
@@ -687,14 +694,17 @@ def init_weights(
     s_min: float = SCALE_FLOOR,
 ) -> PgeParams:
     """Deterministic parameter set: every tensor gets its own named stream,
-    so any one tensor is reproducible without drawing the others."""
+    so any one tensor is reproducible without drawing the others.  The
+    tensors must fit :data:`MAX_WEIGHT_BYTES` (:func:`weights_mem_bytes`)."""
     if c < 1 or c_raw < 1:
         raise InvalidSpec(f"need c >= 1 and c_raw >= 1, got c={c}, c_raw={c_raw}")
     if n_heads < 1 or c % n_heads:
         raise InvalidSpec(f"head count {n_heads} must divide dim {c}")
-    shapes = {"lfa": (c, c_raw + 3), "gfa.input": (c, c_raw), "gfa.qkv": (3 * c, c),
-              "gfa.out": (c, c), "gfa.ffn1": (2 * c, c), "gfa.ffn2": (c, 2 * c),
-              "head": (7 + c, c_raw + 2 * c)}
+    need = weights_mem_bytes(c_raw, c)
+    if need > MAX_WEIGHT_BYTES:
+        raise AllocationLimit(
+            f"weights for c_raw={c_raw}, c={c} need {need} bytes, cap is {MAX_WEIGHT_BYTES}")
+    shapes = _layer_shapes(c_raw, c)
 
     def lin(name: str) -> LinearLayer:
         out_dim, in_dim = shapes[name]

@@ -239,6 +239,8 @@ def _parse_text(blob: bytes) -> PointCloud:
         raise FormatError(f"bad channel count in header line {lines[0]!r}") from None
     if c_raw < 0:
         raise FormatError(f"channel count must be >= 0, got {c_raw}")
+    if 8 * (3 + c_raw) > np.iinfo(np.intp).max:
+        raise FormatError(f"channel count {c_raw}: a row of 3 + c_raw float64 is too large an array")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -470,16 +470,25 @@ def encode(
     """Full encoder: local + global aggregation, attribute prediction,
     projection, and tiled rasterization; ``threads`` is accepted and ignored,
     ``mem_cap`` bounds the neighbour pairs, the attention score block and
-    binning's (splat, tile) candidates."""
+    binning's (splat, tile) candidates.  An overflow that no stage expects
+    raises :class:`InvalidSpec`."""
     settings = settings or RasterSettings()
-    f_lfa = lfa_index_scatter(cloud, params.lfa, params.r, mem_cap)
-    f_gfa = gfa(cloud, params.attn, mem_cap)
-    scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head, params.s_min)
-    pos = cloud.positions
-    mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
-    o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
-    return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev, settings,
-                      mem_cap)
+    # raw features past ~1e154 square to inf in the layer norms and would
+    # end in a NaN map or an unrelated error; where a stage expects an
+    # overflow (huge coordinates) it ignores it locally
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f_lfa = lfa_index_scatter(cloud, params.lfa, params.r, mem_cap)
+            f_gfa = gfa(cloud, params.attn, mem_cap)
+            scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head,
+                                                            params.s_min)
+            pos = cloud.positions
+            mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
+            o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
+            return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev,
+                              settings, mem_cap)
+    except FloatingPointError as exc:
+        raise InvalidSpec(f"encoding overflows float64 ({exc})") from None
 
 
 def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:

@@ -19,6 +19,7 @@ from scipy.special import erf
 import rgkit
 from rgkit.aggregation import (
     DEFAULT_MEM_CAP,
+    MAX_WEIGHT_BYTES,
     AttentionBlock,
     LayerNormParams,
     LinearLayer,
@@ -36,6 +37,7 @@ from rgkit.aggregation import (
     save_weights,
     softplus,
     traversal_mem_bytes,
+    weights_mem_bytes,
 )
 from rgkit.aggregation import _named_tensors
 from rgkit.errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
@@ -249,20 +251,16 @@ def _scipy_modules_after(code: str) -> list:
     return out.stdout.split()
 
 
-def test_importing_rgkit_leaves_scipy_spatial_unloaded():
-    # gelu imports scipy.special on first use; at import time it would add
-    # ~0.33 s and ~26 MB to every process
+def test_importing_rgkit_loads_no_scipy_module():
     assert _scipy_modules_after("import rgkit") == []
 
 
-def test_encode_leaves_scipy_spatial_unloaded():
-    # the neighbour search is a NumPy cell list; only gelu needs scipy.special
-    loaded = _scipy_modules_after(
+def test_encode_loads_no_scipy_module():
+    # the neighbour search is a NumPy cell list and gelu a NumPy erf
+    assert _scipy_modules_after(
         "import rgkit; from rgkit.pointcloud import SceneSpec, generate_scene; "
         "rgkit.encode(generate_scene(SceneSpec(seed=0, n_points=60)), rgkit.init_weights(0, c=8), "
-        "rgkit.BevRange(0.0, 51.2, -25.6, 25.6, 64, 64))")
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.spatial") for m in loaded)
+        "rgkit.BevRange(0.0, 51.2, -25.6, 25.6, 64, 64))") == []
 
 
 def test_broadcast_respects_memory_cap():
@@ -610,6 +608,21 @@ def test_init_weights_validation():
         init_weights(0, c_raw=4, c=8, n_heads=3)
     with pytest.raises(InvalidSpec, match="c_raw"):
         init_weights(0, c_raw=0, c=8)  # zero fan-in of the attention input
+
+
+def test_init_weights_checks_the_tensor_bytes_before_drawing_them():
+    params = init_weights(3, c_raw=5, c=16, n_heads=2)
+    held = sum(v.nbytes for k, v in _named_tensors(params).items()
+               if not (k.startswith("meta.") or k.endswith(".eps")))
+    assert weights_mem_bytes(5, 16) == held
+    # the widest cloud whose weights still fit, and one channel more
+    per_channel = weights_mem_bytes(1, 64) - weights_mem_bytes(0, 64)
+    widest = (MAX_WEIGHT_BYTES - weights_mem_bytes(0, 64)) // per_channel
+    assert weights_mem_bytes(widest, 64) <= MAX_WEIGHT_BYTES < weights_mem_bytes(widest + 1, 64)
+    with pytest.raises(AllocationLimit, match=f"c_raw={widest + 1}, c=64 need"):
+        init_weights(0, c_raw=widest + 1, c=64)
+    with pytest.raises(AllocationLimit, match="c_raw=4000000000"):
+        init_weights(0, c_raw=4_000_000_000)  # 6.4 TB
 
 
 def test_weights_roundtrip(tmp_path):

@@ -2,7 +2,9 @@
 determinism, and the config dump round trip."""
 
 import dataclasses
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -392,7 +394,7 @@ def test_bgl_grad_check_counts_nan_as_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_bgl_loads_no_scipy_module(tmp_path):
-    # only the encoder needs SciPy; a loss-only process must not pay its import
+    # no runtime module imports SciPy; a loss-only process must not pay its import
     pred, gt = _write_box_pair(tmp_path)
     code = ("import sys; from rgkit.cli import main; "
             f"code = main(['bgl', '--pred', {str(pred)!r}, '--gt', {str(gt)!r}, '--grad-check']); "
@@ -434,6 +436,69 @@ def test_malformed_cloud_exits_2(tmp_path, capsys):
     assert main(["encode", "--cloud", str(bad), "--out",
                  str(tmp_path / "m.rgfm")]) == 2
     assert "FormatError" in capsys.readouterr().err
+
+
+def test_encode_channel_count_beyond_an_array_dimension_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "wide.csv"
+    cloud.write_text("# c_raw=99999999999999999999\n")
+    assert main(["encode", "--cloud", str(cloud), "--out", str(tmp_path / "m.rgfm")]) == 2
+    assert "FormatError: channel count 99999999999999999999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, blob", [
+    ("wide.csv", b"# c_raw=100000000000\n"),
+    ("wide.rgpc", b"RGPC" + struct.pack("<III", 1, 0, 4_000_000_000)),
+])
+def test_encode_weights_beyond_the_weight_cap_exit_3(tmp_path, capsys, name, blob):
+    # an empty cloud with terabytes of weights: their size is checked before drawing them
+    cloud = tmp_path / name
+    cloud.write_bytes(blob)
+    assert main(["encode", "--cloud", str(cloud), "--out", str(tmp_path / "m.rgfm")]) == 3
+    err = capsys.readouterr().err
+    assert "AllocationLimit: weights for c_raw=" in err and "cap is 1073741824" in err
+
+
+def test_encode_features_that_overflow_the_layer_norm_exit_2(tmp_path, capsys):
+    # a raw feature of 1e300 squares to inf in the attention's layer norm; the
+    # RuntimeWarnings leaked and encode went on to an unrelated error
+    cloud = _write_csv_cloud(tmp_path / "loud.csv", ["0,0,0,1e300", "1,1,0,1"])
+    assert main(["encode", "--cloud", str(cloud), "--out", str(tmp_path / "m.rgfm"),
+                 "--set", "c=8"]) == 2
+    assert "InvalidSpec: encoding overflows float64" in capsys.readouterr().err
+
+
+#: ``rgk`` in a fresh interpreter in which ``import scipy`` fails
+_RGK_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from rgkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_encode_runs_without_scipy_and_writes_the_scipy_gelu_bytes(tmp_path, monkeypatch):
+    special = pytest.importorskip("scipy.special")
+    cloud = tmp_path / "frame.csv"
+    assert main(["generate", "--out", str(cloud), "--n", "600", "--seed", "21", "--clusters", "2",
+                 "--sigma", "0.5", "--preset", "tj4d"]) == 0
+    args = ["encode", "--cloud", str(cloud), "--preset", "tj4d"]
+    src = str(Path(rgkit.__file__).resolve().parents[1])
+    ran = subprocess.run([sys.executable, "-c", _RGK_WITHOUT_SCIPY, *args, "--out",
+                          str(tmp_path / "port.rgfm")],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert ran.returncode == 0, ran.stderr
+    # the reference: the same command with gelu written over scipy.special.erf
+    monkeypatch.setattr("rgkit.aggregation.gelu",
+                        lambda x: 0.5 * x * (1.0 + special.erf(x / math.sqrt(2.0))))
+    assert main([*args, "--out", str(tmp_path / "scipy.rgfm")]) == 0
+    assert (tmp_path / "port.rgfm").read_bytes() == (tmp_path / "scipy.rgfm").read_bytes()
 
 
 def test_help_exits_0(capsys):

@@ -1,7 +1,8 @@
 """Property tests of the input contract: on adversarial values,
 ``read_boxes``, ``bgl``, ``bgl_gradient`` and ``encode`` return a finite
-result, ``load_weights`` returns a parameter set, or they raise a typed
-``RgkError``, and ``rgk bgl`` exits 0, 2, 3 or 4, never 1.  A leaked NumPy
+result, ``load_weights`` returns a parameter set, ``read_cloud`` a valid
+cloud, or they raise a typed ``RgkError``, and ``rgk bgl`` and
+``rgk encode`` exit 0, 2, 3 or 4, never 1.  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
 around cell boundaries."""
@@ -9,11 +10,12 @@ around cell boundaries."""
 import contextlib
 import io
 import math
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rgkit.aggregation import (
@@ -26,7 +28,7 @@ from rgkit.aggregation import (
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
 from rgkit.errors import RgkError
-from rgkit.pointcloud import BevRange, PointCloud
+from rgkit.pointcloud import BevRange, PointCloud, read_cloud
 from rgkit.splat import BLEND_ORDERS, RasterSettings, encode
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -223,3 +225,109 @@ def test_neighbor_index_is_the_bruteforce_kernel(cloud_r):
     for got, want in ((index.row_idx, rows), (index.col_idx, cols)):
         assert got.dtype == np.intp
         assert np.array_equal(got, np.array(want, dtype=np.intp))
+
+
+#: channel counts of a cloud header: small ones, the u32 edge of RGPC,
+#: past it, and past the widest row a NumPy array can hold
+header_channels = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from([2 ** 31, 4_000_000_000, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 10 ** 11,
+                     2 ** 63 - 4, 2 ** 63 - 3, 10 ** 20]),
+)
+#: finite values (overwritten RGPC bytes bring NaN and inf)
+cloud_values = st.one_of(st.floats(-60.0, 60.0),
+                         st.sampled_from([0.0, -0.0, 1e154, 1e300, -1e308, 5e-324]))
+
+
+def _damage(blob: bytes, draw) -> bytes:
+    """The blob cut short, extended, or with a few bytes overwritten."""
+    how = draw(st.sampled_from(["cut", "extend", "overwrite"]))
+    if how == "cut":
+        return blob[:draw(st.integers(0, len(blob)))]
+    if how == "extend" or not blob:
+        return blob + draw(st.binary(min_size=1, max_size=16))
+    edits = draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                    st.binary(min_size=1, max_size=8)), min_size=1, max_size=4))
+    return _overwrite(blob, edits)
+
+
+@st.composite
+def cloud_files(draw):
+    """``(name, bytes)`` of an RGPC or CSV cloud of up to 4 points whose
+    header is right or states another version, point count or channel
+    count (up to past 2^63), maybe damaged afterwards."""
+    n = draw(st.integers(0, 4))
+    c_raw = draw(st.integers(0, 5))
+    version, count, channels = 1, n, c_raw
+    if draw(st.booleans()):
+        version = draw(st.sampled_from([1, 0, 2]))
+        count = draw(st.sampled_from([n, 0, n + 1, 2 ** 32 - 1]))
+        channels = draw(header_channels)
+    values = draw(st.lists(cloud_values, min_size=n * (3 + c_raw), max_size=n * (3 + c_raw)))
+    if draw(st.booleans()):
+        name = "cloud.rgpc"
+        blob = (b"RGPC" + struct.pack("<III", version, count, min(channels, 2 ** 32 - 1))
+                + np.array(values, dtype="<f8").tobytes())
+    else:
+        name = "cloud.csv"
+        rows = [",".join(format(v, ".17g") for v in values[i:i + 3 + c_raw])
+                for i in range(0, len(values), 3 + c_raw)]
+        blob = ("\n".join([f"# c_raw={channels}", *rows]) + "\n").encode()
+    return name, _damage(blob, draw) if draw(st.booleans()) else blob
+
+
+#: the header and payload defects these tests first found
+_CLOUD_DEFECTS = [
+    ("cloud.csv", b"# c_raw=99999999999999999999\n"),
+    ("cloud.csv", b"# c_raw=100000000000\n"),
+    ("cloud.rgpc", b"RGPC" + struct.pack("<III", 1, 0, 4_000_000_000)),
+    ("cloud.csv", b"# c_raw=1\n0,0,0,1e300\n1,1,0,1\n"),
+]
+
+
+def _with_defects(test):
+    for case in _CLOUD_DEFECTS:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cloud_files())
+@_with_defects
+def test_cloud_files_parse_to_a_valid_cloud_or_a_typed_error(name_blob):
+    name, blob = name_blob
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(blob)
+        try:
+            cloud = read_cloud(path)
+        except RgkError:
+            return
+    n = len(cloud)
+    assert cloud.positions.shape == (n, 3) and cloud.features.shape == (n, cloud.c_raw)
+    assert np.all(np.isfinite(cloud.positions)) and np.all(np.isfinite(cloud.features))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cloud_files())
+@_with_defects
+def test_rgk_encode_of_any_cloud_file_exits_0_2_3_or_4(name_blob):
+    name, blob = name_blob
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(blob)
+        try:
+            read_cloud(path)
+            parsed = True
+        except RgkError:
+            parsed = False
+        argv = ["encode", "--cloud", str(path), "--out", str(Path(tmp) / "m.rgfm"),
+                "--set", "c=8", "--set", "h=16", "--set", "w=16"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")
+    assert parsed or code != 0
