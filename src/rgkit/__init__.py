@@ -56,7 +56,6 @@ from .config import (
 )
 from .errors import (
     AllocationLimit,
-    DegenerateBox,
     DegenerateQuaternion,
     EmptyBatch,
     FormatError,

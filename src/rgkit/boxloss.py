@@ -24,10 +24,10 @@ predicted ones ``e_i``, the centre offset ``(u, v, dz)`` rotated by
     d/dtheta_hat = c s (e_1 - e_0)(1/d_0 - 1/d_1)
 
 The trace is summed from the ratios ``e_i/d_j``, so identical boxes give
-exactly zero divergence and gradient.  ``box_to_gaussian``,
-``kl_divergence`` (trace as ``3 + Tr(S^-1 (S_hat - S))``) and
-``fd_gradient`` are the dense oracle, kept on purpose for ``rgk bgl``'s
-per-pair report and for pinning the kernel in the tests.
+exactly zero divergence and gradient; ``rgk bgl`` prints the kernel's terms.
+``box_to_gaussian``, ``kl_divergence`` (trace as ``3 + Tr(S^-1 (S_hat - S))``)
+and ``fd_gradient`` are the dense oracle, kept on purpose for the runtime
+gradient check and for pinning the kernel in the tests.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateBox,
     EmptyBatch,
     FormatError,
     InvalidSpec,
@@ -52,8 +51,7 @@ from .geom import DET_EPS, covariance_from_scale_rot, mat3_det, mat3_inverse, ro
 
 Array = np.ndarray
 
-#: Dimensions below this (meters) are degenerate; they are clamped up to it
-#: (or rejected in strict mode) before conversion.
+#: Dimensions below this (meters) are degenerate and clamped up to it before conversion.
 SIZE_FLOOR = 1e-3
 
 #: Per-class sharpness defaults: small, deformable classes keep the full
@@ -127,28 +125,19 @@ class BglConfig:
         return self.a_per_class.get(cls, self.a_default)
 
 
-def default_config() -> BglConfig:
-    return BglConfig(a_per_class=dict(DEFAULT_A_PER_CLASS))
+def _clamped(b: Box3D) -> tuple:
+    params = _params(b)
+    if b.l >= SIZE_FLOOR and b.w >= SIZE_FLOOR and b.h >= SIZE_FLOOR:
+        return params
+    return (*params[:3], *(max(d, SIZE_FLOOR) for d in params[3:6]), b.theta)
 
 
-def _sanitized_dims(b: Box3D, strict: bool) -> tuple:
-    dims = (b.l, b.w, b.h)
-    if min(dims) >= SIZE_FLOOR:
-        return dims
-    if strict:
-        raise DegenerateBox(f"box dimensions {dims} fall below {SIZE_FLOOR} m")
-    return tuple(max(d, SIZE_FLOOR) for d in dims)
-
-
-def box_to_gaussian(b: Box3D, a: float, strict: bool = False) -> GaussianDistribution3D:
-    """Convert a box to its Gaussian form for sharpness ``a``.
-
-    Dimensions below :data:`SIZE_FLOOR` are clamped up to it, or rejected
-    when ``strict`` is set.
-    """
+def box_to_gaussian(b: Box3D, a: float) -> GaussianDistribution3D:
+    """Convert a box to its Gaussian form for sharpness ``a``; dimensions
+    below :data:`SIZE_FLOOR` are clamped up to it."""
     if not (math.isfinite(a) and a > 0):
         raise InvalidSpec(f"scaling hyperparameter a must be > 0, got {a}")
-    l, w, h = _sanitized_dims(b, strict)
+    l, w, h = _clamped(b)[3:6]
     half = 2.0 * a
     scales = np.array([l / half, w / half, h / half])
     try:
@@ -189,9 +178,9 @@ def kl_divergence(
 
 
 def _kl_and_gradient(pred, gt, a, xp, every) -> tuple:
-    """Pair divergence and gradient in the yaw frame (module docstring) of
-    clamped ``(x, y, z, l, w, h, theta)``: floats of one pair with ``xp=math,
-    every=bool``, or rows of arrays for a batch with ``xp=np, every=np.all``."""
+    """``(mahalanobis, trace, logdet, divergence), gradient`` of clamped
+    ``(x, y, z, l, w, h, theta)`` in the yaw frame: floats of one pair with
+    ``xp=math, every=bool``, or rows of a batch with ``xp=np, every=np.all``."""
     x, y, z, l, w, h, theta = pred
     gx, gy, gz, gl, gw, gh, gtheta = gt
     if not every((a > 0.0) & (a < math.inf)):
@@ -217,18 +206,15 @@ def _kl_and_gradient(pred, gt, a, xp, every) -> tuple:
     c2, s2 = c * c, s * s
     # (R_phi^T S^-1 R_phi)_ii e_i, from the ratios e_i/d_j: exactly 1 on identical boxes
     t0, t1, t2 = c2 * (e0 / d0) + s2 * (e0 / d1), s2 * (e1 / d0) + c2 * (e1 / d1), e2 / d2
+    mahalanobis, trace = u * pu + v * pv + dz * pz, t0 + t1 + t2
     logdet = xp.log(det) - xp.log(det_hat)
-    kl = 0.5 * ((u * pu + v * pv + dz * pz) + (t0 + t1 + t2) + logdet - 3.0)
+    kl = 0.5 * (mahalanobis + trace + logdet - 3.0)
     grad = (
         cg * pu - sg * pv, sg * pu + cg * pv, pz,
         (t0 - 1.0) / l, (t1 - 1.0) / w, (t2 - 1.0) / h,
         c * s * (e1 - e0) * (1.0 / d0 - 1.0 / d1),
     )
-    return kl, grad
-
-
-def _clamped(b: Box3D) -> tuple:
-    return (b.x, b.y, b.z, *_sanitized_dims(b, strict=False), b.theta)
+    return (mahalanobis, trace, logdet, kl), grad
 
 
 def _columns(boxes: Sequence[Box3D]) -> Array:
@@ -236,6 +222,32 @@ def _columns(boxes: Sequence[Box3D]) -> Array:
     cols = np.array(list(map(_params, boxes)), dtype=np.float64).T
     np.maximum(cols[3:6], SIZE_FLOOR, out=cols[3:6])
     return cols
+
+
+def _pair_terms(pred, gt, classes, cfg: BglConfig) -> tuple:
+    """``mean, a, terms, grad`` of index-aligned box pairs from one kernel call:
+    the mean divergence summed in index order, each pair's ``a`` and the
+    kernel's rows (the gradient's may be non-finite)."""
+    if len(pred) != len(gt):
+        raise LengthMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
+    if classes is not None and len(classes) != len(gt):
+        raise LengthMismatch(f"{len(classes)} classes vs {len(gt)} ground truths")
+    if not gt:
+        raise EmptyBatch("need at least one box pair")
+    names = classes if classes is not None else [None] * len(gt)
+    a = np.array([cfg.a_for(c) for c in names], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, grad = _kl_and_gradient(_columns(pred), _columns(gt), a, np, np.all)
+        total = float(np.cumsum(terms[3])[-1])
+    if not math.isfinite(total):
+        raise InvalidSpec("box-pair divergence overflows float64")
+    return total / len(gt), a, terms, grad
+
+
+def _finite_gradient(grad: Sequence[float]) -> Array:
+    if not all(map(math.isfinite, grad)):
+        raise InvalidSpec("box-pair divergence gradient overflows float64")
+    return np.array(grad)
 
 
 def bgl(
@@ -246,34 +258,18 @@ def bgl(
 ) -> float:
     """Mean KL divergence over index-aligned box pairs (matching between
     predictions and ground truth happens upstream), summed in index order."""
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"{len(pred)} predictions vs {len(gt)} ground truths")
-    if classes is not None and len(classes) != len(gt):
-        raise LengthMismatch(f"{len(classes)} classes vs {len(gt)} ground truths")
-    if not gt:
-        raise EmptyBatch("need at least one box pair")
-    names = classes if classes is not None else [None] * len(gt)
-    a = np.array([cfg.a_for(c) for c in names], dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kl = _kl_and_gradient(_columns(pred), _columns(gt), a, np, np.all)[0]
-        total = float(np.cumsum(kl)[-1])
-    if not math.isfinite(total):
-        raise InvalidSpec("box-pair divergence overflows float64")
-    return total / len(gt)
+    return _pair_terms(pred, gt, classes, cfg)[0]
 
 
 def bgl_gradient(pred: Box3D, gt: Box3D, a: float) -> Array:
     """Analytic gradient of the pair divergence with respect to the seven
     predicted box parameters ``(x, y, z, l, w, h, theta)``."""
-    grad = _kl_and_gradient(_clamped(pred), _clamped(gt), a, math, bool)[1]
-    if not all(map(math.isfinite, grad)):
-        raise InvalidSpec("box-pair divergence gradient overflows float64")
-    return np.array(grad)
+    return _finite_gradient(_kl_and_gradient(_clamped(pred), _clamped(gt), a, math, bool)[1])
 
 
 def fd_gradient(pred: Box3D, gt: Box3D, a: float, step: float = 1e-5) -> Array:
     """Central-difference gradient of the pair divergence, for verifying
-    :func:`bgl_gradient` at runtime."""
+    the analytic gradient at runtime (``rgk bgl --grad-check``)."""
     base = pred.as_array()
     target = box_to_gaussian(gt, a)
     grad = np.empty(7)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .aggregation import init_weights
 from .bench import format_report, report_to_csv, run_bench
-from .boxloss import bgl, bgl_gradient, box_to_gaussian, fd_gradient, kl_divergence, read_boxes
+from .boxloss import _finite_gradient, _pair_terms, fd_gradient, read_boxes
 from .config import (
     PRESETS,
     RunConfig,
@@ -176,24 +176,20 @@ def cmd_bgl(args) -> int:
         return 0
     pred, _pred_classes = read_boxes(args.pred)
     gt, gt_classes = read_boxes(args.gt)
-    bcfg = cfg.bgl_config()
-    mean = bgl(pred, gt, gt_classes, bcfg)
+    mean, a, terms, grad = _pair_terms(pred, gt, gt_classes, cfg.bgl_config())
     print("index,a,mahalanobis,trace,logdet,total")
     worst = 0.0
-    for i, (p, t) in enumerate(zip(pred, gt)):
-        a = bcfg.a_for(gt_classes[i] if gt_classes is not None else None)
-        # the dense oracle's 3x3 products overflow on boxes bgl still handles
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                comp = kl_divergence(box_to_gaussian(p, a), box_to_gaussian(t, a))
-                numeric = fd_gradient(p, t, a) if args.grad_check else None
-        except (FloatingPointError, OverflowError) as exc:
-            raise InvalidSpec(f"box pair {i}: the dense terms overflow float64 ({exc})") from None
-        print(f"{i},{_fmt(a)},{_fmt(comp.mahalanobis)},{_fmt(comp.trace)},"
-              f"{_fmt(comp.logdet)},{_fmt(comp.total)}")
+    for i, row in enumerate(zip(a, *terms)):
+        print(",".join([str(i), *map(_fmt, row)]))
         if not args.grad_check:
             continue
-        for g, f in zip(bgl_gradient(p, t, a), numeric):
+        # the dense oracle's 3x3 products overflow on boxes the kernel still handles
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                numeric = fd_gradient(pred[i], gt[i], float(a[i]))
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidSpec(f"box pair {i}: the dense gradient overflows ({exc})") from None
+        for g, f in zip(_finite_gradient([d[i] for d in grad]), numeric):
             rel = abs(g - f) / max(1.0, abs(g))
             # a NaN would lose every comparison and pass; count it as a failure
             worst = max(worst, rel if math.isfinite(rel) else math.inf)

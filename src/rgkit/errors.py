@@ -41,10 +41,6 @@ class AllocationLimit(RgkError):
     """A dense intermediate would exceed the configured memory cap."""
 
 
-class DegenerateBox(RgkError):
-    """Box dimension below the size floor while strict mode is on."""
-
-
 class EmptyBatch(RgkError):
     """Batch loss requested over zero pairs."""
 

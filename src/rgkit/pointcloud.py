@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidSpec, ShapeMismatch
+from .errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from .rng import SplitMix64, boxmuller, stream_seed
 
 Array = np.ndarray
@@ -38,6 +38,8 @@ _MAGIC = b"RGPC"
 _VERSION = 1
 _HEADER = struct.Struct("<III")  # version, point count, channel count
 _CSV_KEY = "# c_raw="
+#: Largest set of uniforms :func:`generate_scene` draws (bytes).
+MAX_SCENE_BYTES = 1 << 30
 
 
 class PointCloud:
@@ -167,8 +169,15 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
          ``2u - 1``.
 
     Positions are finally clamped per axis into the x/y/z ranges; boundary
-    values count as inside.
+    values count as inside.  The draws must fit :data:`MAX_SCENE_BYTES`,
+    counting at least one point's row, so that the channel count alone is
+    bounded too.
     """
+    need = 8 * (3 * spec.n_clusters + max(spec.n_points, 1) * (7 + spec.c_raw))
+    if need > MAX_SCENE_BYTES:
+        raise AllocationLimit(f"scene draws for n={spec.n_points}, c_raw={spec.c_raw}, "
+                              f"{spec.n_clusters} clusters need {need} bytes, "
+                              f"cap is {MAX_SCENE_BYTES}")
     stream = SplitMix64(stream_seed(spec.seed, "scene"))
     lo = np.array([spec.bev.x_min, spec.bev.y_min, spec.z_min])
     hi = np.array([spec.bev.x_max, spec.bev.y_max, spec.z_max])

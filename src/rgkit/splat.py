@@ -97,6 +97,10 @@ Array = np.ndarray
 BLEND_ORDERS = ("z-asc", "z-desc", "index")
 #: Transient bytes per (splat, tile) candidate while binning tests it.
 BIN_CANDIDATE_BYTES = 300
+#: Largest C x H x W float32 map, and largest set of one tile's blend buffers,
+#: that compositing allocates (bytes).  Not ``mem_cap``, which bounds the
+#: per-stage buffers and may be far smaller than any map.
+MAX_MAP_BYTES = 1 << 30
 
 _MAGIC = b"RGFM"
 _VERSION = 1
@@ -255,13 +259,27 @@ def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
     return [splats[i] for i in _blend_order(z, src, blend_order)]
 
 
+def _zero_map(channels: int, bev: BevRange) -> Array:
+    """A zero C x H x W float32 map, refused past :data:`MAX_MAP_BYTES`."""
+    need = 4 * channels * bev.h * bev.w
+    if need > MAX_MAP_BYTES:
+        raise AllocationLimit(f"a {channels} x {bev.h} x {bev.w} float32 map needs {need} "
+                              f"bytes, cap is {MAX_MAP_BYTES}")
+    return np.zeros((channels, bev.h, bev.w), dtype=np.float32)
+
+
+def _tile_size(bev: BevRange, settings: RasterSettings) -> int:
+    """The tile edge in pixels: a tile larger than the map is the whole map."""
+    return min(settings.tile_size, max(bev.h, bev.w))
+
+
 def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
          mem_cap: int = DEFAULT_MEM_CAP):
     """Bin blend-sorted splats into every tile where their alpha can reach
     ``alpha_min``; tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending.
     The (splat, tile) candidates are spread and tested in blocks of as many
     as ``mem_cap`` holds at :data:`BIN_CANDIDATE_BYTES` each."""
-    ts = settings.tile_size
+    ts = _tile_size(bev, settings)
     ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
     a, b, c = cov2d.T
     mx, my = mean2d.T
@@ -361,13 +379,18 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                mem_cap: int = DEFAULT_MEM_CAP) -> BevFeatureMap:
     """Bin and blend splats given in blend order (float32 accumulation);
     ``mem_cap`` bounds binning's candidates."""
+    out = _zero_map(features.shape[1], bev)
     rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
-    out = np.zeros((features.shape[1], bev.h, bev.w), dtype=np.float32)
     feats32 = features.astype(np.float32)
-    ts, t_min = settings.tile_size, np.float32(settings.t_min)
+    ts, t_min = _tile_size(bev, settings), np.float32(settings.t_min)
     ntx = (bev.w + ts - 1) // ts
     sizes = np.diff(starts)
-    size = int(sizes.max(initial=0)) * ts * ts  # per-pixel buffers for the deepest tile
+    # per-pixel buffers for the deepest tile: 8 + 1 + 4 + 4 bytes a (splat, pixel)
+    deepest = int(sizes.max(initial=0))
+    size = deepest * min(ts, bev.h) * min(ts, bev.w)
+    if 17 * size > MAX_MAP_BYTES:
+        raise AllocationLimit(f"the blend buffers of a tile of {deepest} splats need "
+                              f"{17 * size} bytes, cap is {MAX_MAP_BYTES}")
     qbuf, ubuf = np.empty(size), np.empty(size, dtype=bool)
     wbuf, tbuf = np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32)
     for t in np.flatnonzero(sizes).tolist():
@@ -509,7 +532,7 @@ def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:
     )
     flat = rows * bev.w + cols
     feats = cloud.features[inside]
-    data = np.zeros((cloud.c_raw, bev.h, bev.w), dtype=np.float32)
+    data = _zero_map(cloud.c_raw, bev)
     for ch in range(cloud.c_raw):
         data[ch] = (
             np.bincount(flat, weights=feats[:, ch], minlength=bev.h * bev.w)

@@ -17,20 +17,19 @@ from rgkit.boxloss import (
     bgl,
     bgl_gradient,
     box_to_gaussian,
-    default_config,
     fd_gradient,
     kl_divergence,
     read_boxes,
     write_boxes,
 )
 from rgkit.errors import (
-    DegenerateBox,
     EmptyBatch,
     FormatError,
     InvalidSpec,
     LengthMismatch,
     SingularCovariance,
 )
+from rgkit.config import RunConfig
 from rgkit.geom import DET_EPS, mat3_det, rotmat_z
 from rgkit.rng import SplitMix64, stream_seed
 
@@ -90,8 +89,6 @@ def test_conversion_rejects_bad_sharpness_and_degenerate_dims():
     flat = Box3D(0, 0, 0, 1.0, 0.0, 1.0, 0.0)
     clamped = box_to_gaussian(flat, 0.5)  # silently floored at 1e-3
     assert clamped.sigma[1, 1] == pytest.approx(1e-6, rel=1e-12)
-    with pytest.raises(DegenerateBox):
-        box_to_gaussian(flat, 0.5, strict=True)
 
 
 def test_box_requires_finite_values():
@@ -191,13 +188,14 @@ def test_bgl_batch_mean_and_class_resolution():
     # class "car" switches a to 3, inflating the mahalanobis term 9x
     with_cls = bgl(pred, gt, ["car", "car"], cfg)
     assert with_cls > bgl(pred, gt, None, cfg)
-    assert default_config().a_for("truck") == 3.0
-    assert default_config().a_for("unknown") == 1.0
-    assert default_config().a_for(None) == 1.0
+    defaults = RunConfig().bgl_config()
+    assert defaults.a_for("truck") == 3.0
+    assert defaults.a_for("unknown") == 1.0
+    assert defaults.a_for(None) == 1.0
 
 
 def test_bgl_validation():
-    cfg = default_config()
+    cfg = RunConfig().bgl_config()
     boxes = [Box3D(0, 0, 0, 1, 1, 1, 0)]
     with pytest.raises(LengthMismatch):
         bgl(boxes, boxes * 2, None, cfg)
@@ -335,14 +333,15 @@ def _benchmark_like_pairs(seed, n=400):
 @pytest.mark.parametrize("seed", [11, 12])
 def test_kernel_matches_dense_oracle_and_bgl_sums_in_index_order(seed):
     preds, gts, classes = _benchmark_like_pairs(seed)
-    cfg = default_config()
+    cfg = RunConfig().bgl_config()
     a = np.array([cfg.a_for(c) for c in classes])
-    kl, _ = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
+    terms, _ = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
     total = 0.0
     for i, (p, t) in enumerate(zip(preds, gts)):
-        want = kl_divergence(box_to_gaussian(p, a[i]), box_to_gaussian(t, a[i])).total
-        assert abs(kl[i] - want) <= 1e-12 * max(1.0, abs(want))
-        total += float(kl[i])
+        comp = kl_divergence(box_to_gaussian(p, a[i]), box_to_gaussian(t, a[i]))
+        for got, want in zip(terms, (comp.mahalanobis, comp.trace, comp.logdet, comp.total)):
+            assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+        total += float(terms[3][i])
     assert bgl(preds, gts, classes, cfg) == total / len(gts)
 
 
@@ -351,10 +350,11 @@ def test_kernel_on_numpy_rows_matches_math_floats():
     thin_preds, thin_gts = zip(*_thin_pairs(13, 100))
     preds, gts = preds + list(thin_preds), gts + list(thin_gts)
     a = np.array([3.0 if c in ("car", "truck") else 1.0 for c in classes] + [1.0] * 100)
-    kl, grad = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
+    terms, grad = _kl_and_gradient(_columns(preds), _columns(gts), a, np, np.all)
     for i, (p, t) in enumerate(zip(preds, gts)):
-        kl_f, grad_f = _kl_and_gradient(_clamped(p), _clamped(t), float(a[i]), math, bool)
-        assert abs(kl[i] - kl_f) <= 1e-12 * max(1.0, abs(kl_f))
+        terms_f, grad_f = _kl_and_gradient(_clamped(p), _clamped(t), float(a[i]), math, bool)
+        for row, value in zip(terms, terms_f):
+            assert abs(row[i] - value) <= 1e-12 * max(1.0, abs(value))
         for j in range(7):
             assert abs(grad[j][i] - grad_f[j]) <= 1e-12 * max(1.0, abs(grad_f[j]))
 
@@ -363,7 +363,7 @@ def test_kernel_on_numpy_rows_matches_math_floats():
 def test_batch_gradient_equals_per_pair_gradient_bit_for_bit(seed):
     # NumPy's cos/sin on rows and math's on floats agree here; a batch
     # gradient may replace the per-pair loop only while this holds
-    cfg = default_config()
+    cfg = RunConfig().bgl_config()
     for batch in range(4):
         preds, gts, classes = _benchmark_like_pairs([seed, batch], 1000)
         a = np.array([cfg.a_for(c) for c in classes])
@@ -380,7 +380,7 @@ def test_gradient_matches_finite_differences_on_elongated_boxes():
         preds.append(Box3D(gt.x + 0.05, gt.y - 0.02, gt.z, 19.0, 0.12, 1.1, gt.theta + 0.05))
         gts.append(gt)
         classes.append("pedestrian")
-    cfg = default_config()
+    cfg = RunConfig().bgl_config()
     for p, t, c in zip(preds, gts, classes):
         analytic = bgl_gradient(p, t, cfg.a_for(c))
         numeric = fd_gradient(p, t, cfg.a_for(c))
@@ -433,7 +433,7 @@ def test_overflowing_boxes_are_invalid_spec():
              (spun, Box3D(0, 0, 0, 1, 1, 1, -1e308))]
     for pred, gt in cases:
         with pytest.raises(InvalidSpec):
-            bgl([unit, pred], [unit, gt], None, default_config())
+            bgl([unit, pred], [unit, gt], None, RunConfig().bgl_config())
         with pytest.raises(InvalidSpec):
             bgl_gradient(pred, gt, 1.0)
     # the dense oracle: (l/2a)^2 or (l w h / (2a)^3)^2 leaves float64

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import rgkit
-from rgkit.boxloss import Box3D, default_config, write_boxes
+from rgkit import boxloss
+from rgkit.boxloss import (DEFAULT_A_PER_CLASS, BglConfig, Box3D, bgl, box_to_gaussian,
+                           kl_divergence, write_boxes)
 from rgkit.cli import main
 from rgkit.config import RunConfig, apply_preset, apply_updates, dump_config, parse_config_text
 from rgkit.pointcloud import DEFAULT_RANGE, read_cloud
@@ -65,6 +67,22 @@ def test_generate_respects_preset_extents(tmp_path):
     assert np.all(cloud.positions[:, 1] >= -39.68)
     assert np.all(cloud.positions[:, 2] >= -4.0)
     assert np.max(cloud.positions[:, 1]) > 25.6 or np.max(cloud.positions[:, 0]) > 51.2
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--n", "10", "--c-raw", "100000000000"],  # 7.28 TiB of uniforms
+    ["generate", "--n", "10", "--clusters", "100000000000"],  # 2.18 TiB
+    ["generate", "--n", "3000000000"],  # 246 GiB
+    ["generate", "--n", "0", "--c-raw", "9223372036854775800", "--binary"],
+    ["bench-lfa", "--n", "20,3000000000"],
+])
+def test_scene_draws_beyond_the_draw_cap_exit_3(tmp_path, capsys, args):
+    # the draws were made unbounded and died with a raw MemoryError, exit 1
+    out = tmp_path / "scene.csv"
+    assert main(args + (["--out", str(out)] if args[0] == "generate" else [])) == 3
+    err = capsys.readouterr().err
+    assert "error: AllocationLimit: scene draws" in err and "cap is 1073741824" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +223,40 @@ def test_encode_mem_cap_too_small_for_one_tile_candidate_exits_3(tmp_path, capsy
     assert main(args + ["--set", "mem_cap=400"]) == 0
 
 
+def test_encode_map_beyond_the_map_cap_exits_3(tmp_path, small_cloud, capsys):
+    # the 64 x 100000 x 100000 float32 map is 2.33 TiB: np.zeros raised a raw
+    # MemoryError, exit 1; its size is now checked before any tile is binned
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(small_cloud), "--out", str(out),
+                 "--set", "h=100000", "--set", "w=100000"]) == 3
+    err = capsys.readouterr().err
+    assert "error: AllocationLimit: a 64 x 100000 x 100000 float32 map" in err
+    assert "cap is 1073741824" in err and not out.exists()
+
+
+@pytest.mark.parametrize("tile_size", ["64", "100000", str(2 ** 40), str(2 ** 64)])
+def test_encode_tile_larger_than_the_map_is_one_tile(tmp_path, small_cloud, tile_size):
+    # per-pixel buffers were sized tile_size^2 per splat (a raw MemoryError or
+    # ValueError), and past 2^63 the tile origins overflowed int64
+    args = ["encode", "--cloud", str(small_cloud), "--set", "c=8", "--set", "h=16",
+            "--set", "w=16"]
+    one, big = tmp_path / "one.rgfm", tmp_path / "big.rgfm"
+    assert main([*args, "--out", str(one), "--set", "tile_size=16"]) == 0
+    assert main([*args, "--out", str(big), "--set", f"tile_size={tile_size}"]) == 0
+    assert big.read_bytes() == one.read_bytes()
+
+
+def test_encode_blend_buffers_beyond_the_map_cap_exit_3(tmp_path, small_cloud, capsys):
+    # one 2048 x 2048 tile holds all 80 splats: its per-pixel blend buffers
+    # are 5.7 GB (they were sized tile_size^2, 10.7 GB: a raw MemoryError)
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(small_cloud), "--out", str(out), "--set", "c=8",
+                 "--set", "h=2048", "--set", "w=2048", "--set", "tile_size=4096"]) == 3
+    err = capsys.readouterr().err
+    assert "error: AllocationLimit: the blend buffers of a tile of" in err
+    assert "cap is 1073741824" in err and not out.exists()
+
+
 def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c0.csv"
     assert main(["generate", "--out", str(cloud), "--n", "20", "--c-raw", "0"]) == 0
@@ -276,7 +328,7 @@ def test_infinite_box_sharpness_exits_2(item, capsys):
 def test_config_defaults_are_the_owning_definitions():
     assert RunConfig().raster_settings() == RasterSettings()
     assert RunConfig().bev() == DEFAULT_RANGE
-    assert RunConfig().bgl_config() == default_config()
+    assert RunConfig().bgl_config() == BglConfig(dict(DEFAULT_A_PER_CLASS))
     assert apply_preset(RunConfig(), "vod") == RunConfig()
 
 
@@ -369,9 +421,68 @@ def test_bgl_box_with_overflowing_axis_variance_exits_2(tmp_path, capsys, side):
     assert "InvalidSpec" in captured.err and "nan" not in captured.out
 
 
+def test_bgl_makes_one_kernel_call_and_no_dense_call_but_the_gradient_check(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(boxloss, "_kl_and_gradient",
+                        counted("kernel", boxloss._kl_and_gradient))
+    for name in ("box_to_gaussian", "kl_divergence"):
+        dense = counted("dense", getattr(boxloss, name))
+        monkeypatch.setattr(boxloss, name, dense)
+        monkeypatch.setattr(f"rgkit.cli.{name}", dense, raising=False)
+    monkeypatch.setattr("rgkit.cli.fd_gradient", counted("fd", boxloss.fd_gradient))
+    pred, gt = _write_box_pair(tmp_path)
+    assert main(["bgl", "--pred", str(pred), "--gt", str(gt)]) == 0
+    assert calls == ["kernel"]
+    calls.clear()
+    assert main(["bgl", "--pred", str(pred), "--gt", str(gt), "--grad-check"]) == 0
+    # the dense calls come from inside fd_gradient, once per pair
+    assert calls[:2] == ["kernel", "fd"] and calls.count("fd") == 2
+    assert calls.count("kernel") == 1 and set(calls[2:]) == {"fd", "dense"}
+
+
+def test_bgl_rows_are_the_dense_terms(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    classes = list(rng.choice(["car", "pedestrian", "bus"], 40))
+
+    def box():
+        return Box3D(*rng.normal(size=3) * 5, *rng.uniform(0.3, 6.0, 3), rng.uniform(-7, 7))
+
+    pred, gt = [box() for _ in classes], [box() for _ in classes]
+    write_boxes(pred, tmp_path / "p.csv", classes=classes)
+    write_boxes(gt, tmp_path / "g.csv", classes=classes)
+    assert main(["bgl", "--pred", str(tmp_path / "p.csv"), "--gt", str(tmp_path / "g.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = RunConfig().bgl_config()
+    assert len(lines) == len(pred) + 2
+    for i, (line, p, t, c) in enumerate(zip(lines[1:], pred, gt, classes)):
+        index, a, *terms = line.split(",")
+        assert int(index) == i and float(a) == cfg.a_for(c)
+        want = kl_divergence(box_to_gaussian(p, float(a)), box_to_gaussian(t, float(a)))
+        for got, value in zip(terms, (want.mahalanobis, want.trace, want.logdet, want.total)):
+            assert math.isclose(float(got), value, rel_tol=1e-8)
+    assert lines[-1] == f"mean_total = {format(bgl(pred, gt, classes, cfg), '.9g')}"
+
+
+def test_bgl_report_of_a_box_too_large_for_the_dense_terms_exits_0(tmp_path, capsys):
+    # the report used to recompute each pair's terms through the dense 3x3
+    # products, which overflow on a yawed 1e100 m box the kernel scores: exit 2
+    huge = Box3D(0, 0, 0, 1e100, 1, 1, 0.785)
+    assert main(_write_single_pair(tmp_path, huge, huge)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["0,1,0,3,0,0", "mean_total = 0"]
+
+
 def test_bgl_box_too_large_for_the_dense_report_exits_2(tmp_path, capsys):
-    # the batched loss handles a yawed 1e100 m box; the dense per-pair terms
-    # overflow in the 3x3 products, which used to print nan and exit 0
+    # the kernel handles a yawed 1e100 m box; with --grad-check fd_gradient's
+    # dense 3x3 products overflow, which used to print nan and exit 0
     huge = Box3D(0, 0, 0, 1e100, 1, 1, 0.785)
     assert main([*_write_single_pair(tmp_path, huge, huge), "--grad-check"]) == 2
     captured = capsys.readouterr()

@@ -1,8 +1,9 @@
 """Property tests of the input contract: on adversarial values,
 ``read_boxes``, ``bgl``, ``bgl_gradient`` and ``encode`` return a finite
 result, ``load_weights`` returns a parameter set, ``read_cloud`` a valid
-cloud, or they raise a typed ``RgkError``, and ``rgk bgl`` and
-``rgk encode`` exit 0, 2, 3 or 4, never 1.  A leaked NumPy
+cloud, or they raise a typed ``RgkError``, and ``rgk bgl``, ``rgk encode``,
+``rgk generate`` and ``rgk bench-lfa`` exit 0, 2, 3 or 4, never 1, also
+at sizes far past their allocation caps.  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
 around cell boundaries."""
@@ -29,7 +30,7 @@ from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write
 from rgkit.cli import main
 from rgkit.errors import RgkError
 from rgkit.pointcloud import BevRange, PointCloud, read_cloud
-from rgkit.splat import BLEND_ORDERS, RasterSettings, encode
+from rgkit.splat import BLEND_ORDERS, MAX_MAP_BYTES, RasterSettings, encode
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -331,3 +332,64 @@ def test_rgk_encode_of_any_cloud_file_exits_0_2_3_or_4(name_blob):
     assert code in (0, 2, 3, 4), err.getvalue()
     assert code == 0 or err.getvalue().startswith("error: ")
     assert parsed or code != 0
+
+
+def _exit_code(argv) -> int:
+    """``rgk`` exit code of ``argv``; a failure prints one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert code == 0 or err.getvalue().startswith("error: ")
+    return code
+
+
+def _sizes(small, huge):
+    """A size that runs in milliseconds, or one past 2^40 (and past 2^64)
+    that a cap refuses before anything is allocated."""
+    return st.one_of(st.integers(*small), st.integers(*huge),
+                     st.sampled_from([2 ** 63 - 8, 2 ** 64 + 1]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["generate", "generate --binary", "bench-lfa"]),
+       _sizes((-1, 6), (2 ** 37, 2 ** 42)), _sizes((-1, 6), (2 ** 37, 2 ** 42)),
+       _sizes((0, 6), (2 ** 37, 2 ** 42)))
+@example("generate", 10, 10 ** 11, 8)
+@example("generate", 10, 4, 10 ** 11)
+@example("generate", 3_000_000_000, 4, 8)
+@example("bench-lfa", 3_000_000_000, 4, 8)
+@example("generate --binary", 0, 2 ** 63 - 8, 8)
+def test_rgk_generate_and_bench_exit_0_2_3_or_4_at_any_size(command, n, c_raw, clusters):
+    name, *flags = command.split()
+    with tempfile.TemporaryDirectory() as tmp:
+        if name == "generate":
+            argv = ["generate", "--out", str(Path(tmp) / "scene"), "--n", str(n),
+                    "--c-raw", str(c_raw), "--clusters", str(clusters), *flags]
+        else:
+            argv = ["bench-lfa", "--n", str(n), "--c-raw", str(c_raw), "--reps", "1",
+                    "--set", "c=4"]
+        code = _exit_code(argv)
+    huge = max(n, c_raw, clusters) > 2 ** 36
+    assert not huge or code in (2, 3)
+
+
+_CLOUD_ROWS = ["# c_raw=2", "1,0,0,0.5,-1", "2,1,0.5,1,0", "1.1,0.2,0,0,0.3", "20,-5,1,1,1"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_sizes((1, 40), (2 ** 29, 2 ** 66)), _sizes((1, 40), (2 ** 29, 2 ** 66)),
+       _sizes((1, 8), (2 ** 20, 2 ** 66)), _sizes((1, 20), (2 ** 20, 2 ** 70)))
+@example(100_000, 100_000, 64, 16)
+@example(16, 16, 8, 2 ** 40)
+@example(16, 16, 8, 2 ** 64)
+def test_rgk_encode_exits_0_2_3_or_4_at_any_map_size(h, w, c, tile_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        cloud = Path(tmp) / "cloud.csv"
+        cloud.write_text("\n".join(_CLOUD_ROWS) + "\n")
+        code = _exit_code(["encode", "--cloud", str(cloud), "--out", str(Path(tmp) / "m.rgfm"),
+                           "--set", f"h={h}", "--set", f"w={w}", "--set", f"c={c}",
+                           "--set", f"tile_size={tile_size}"])
+    assert code == (3 if max(h, w, c) > 2 ** 19 or 4 * c * h * w > MAX_MAP_BYTES else 0)
