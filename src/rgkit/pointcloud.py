@@ -197,6 +197,9 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
 
 def write_cloud(cloud: PointCloud, path, binary: bool = False) -> None:
     """Write ``cloud`` to ``path`` — text CSV by default, ``RGPC`` binary."""
+    if binary and max(len(cloud), cloud.c_raw) > 0xFFFFFFFF:
+        raise FormatError(f"RGPC stores counts as u32: {len(cloud)} points of {cloud.c_raw} "
+                          f"channels do not fit")
     data = np.hstack([cloud.positions, cloud.features])
     if binary:
         with open(path, "wb") as fh:

@@ -183,6 +183,19 @@ def _check_density_vs_pillar() -> None:
     assert dense > sparse, f"splatting not denser than pillars: {dense} <= {sparse}"
 
 
+def _check_chunking_invariance() -> None:
+    # at a 10 m scale floor each of the 30 splats reaches every tile of the
+    # 64 x 64 map, so 17 * 30 = 510 bytes hold one pixel's blend buffers in
+    # every tile but not two, and one (splat, tile) candidate of 300 bytes
+    bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)
+    cloud = generate_scene(SceneSpec(seed=16, n_points=30, bev=bev))
+    params = aggregation.init_weights(16, c_raw=cloud.c_raw, c=8, s_min=10.0)
+    want = splat.encode(cloud, params, bev)
+    got = splat.encode(cloud, params, bev, mem_cap=17 * len(cloud))
+    assert got.data.tobytes() == want.data.tobytes(), (
+        "map changes with one-pixel blend groups and one-candidate bin blocks")
+
+
 def _check_kl_exact() -> None:
     eye = boxloss.GaussianDistribution3D(np.zeros(3), np.eye(3))
     assert boxloss.kl_divergence(eye, eye).total == 0.0, "self-KL not exactly 0"
@@ -279,6 +292,7 @@ CHECKS = (
     ("raster-oracle", _check_raster_oracle),
     ("blend-analytic", _check_blend_analytic),
     ("density-vs-pillar", _check_density_vs_pillar),
+    ("chunking-invariance", _check_chunking_invariance),
     ("kl-exact", _check_kl_exact),
     ("a-invariance", _check_a_invariance),
     ("bgl-gradient", _check_bgl_gradient),

@@ -33,8 +33,8 @@ margin), the exact ellipse-tile test of FlashGS (Feng et al., 2024): the
 minimum is 0 with the mean inside, else the least of four clamped 1-D edge
 minima.  Binning is lossless, so tiles match the brute force
 (:func:`rasterize_oracle`) up to 32- vs 64-bit rounding.  Each tile is
-composited front to back with whole-tile array operations, as in 3D
-Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
+composited front to back with array operations over all its rows, as in
+3D Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
 ``1 - alpha`` for T in blocks of 64 rows, each carrying the previous
 block's last T (a carried T below ``t_min`` feeds only masked entries and
 is flushed to +0, which keeps T out of float32 subnormals), the early stop
@@ -42,6 +42,15 @@ as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
 that adds the splats in order in float32 at every tile and channel count,
 without BLAS, so the map does not depend on BLAS threading.  Tiles run
 one after another: maps are bit-identical across runs.
+
+A tile runs in pixel groups: a few whole pixel rows, or part of one row
+when a whole row does not fit, sized so that the group's buffers of 17
+bytes a (splat, pixel) fit ``min(mem_cap, BLOCK_BYTES)``; a group is one
+pixel at least, and ``mem_cap`` must hold one pixel of the deepest tile.
+Every step above is per pixel, and each group runs the same kernel over
+all the tile's rows and sums the rows live in it, so each pixel adds the
+same rows in the same order in any group and no map byte depends on the
+group size.
 
 :func:`encode` runs on arrays, one kernel per stage: the head's scales,
 unit quaternions and features; projection to means (N, 2) and ``cov2d``
@@ -52,7 +61,7 @@ wholly off the map before any ``int`` conversion and spreads the rest
 over their coverage discs' tile spans by ``np.repeat`` for the exact test.
 The blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
 ``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
-summed in the formula's order.  Rows unused at every pixel of a tile
+summed in the formula's order.  Rows unused at every pixel of a group
 only multiply T by 1 and add +0, so they are left out of the ``einsum``.
 :func:`project_to_bev`, :func:`sort_splats`, :func:`build_tile_grid` and
 :func:`rasterize` take per-splat objects (:class:`Splat2D`) and are thin
@@ -97,9 +106,12 @@ Array = np.ndarray
 BLEND_ORDERS = ("z-asc", "z-desc", "index")
 #: Transient bytes per (splat, tile) candidate while binning tests it.
 BIN_CANDIDATE_BYTES = 300
-#: Largest C x H x W float32 map, and largest set of one tile's blend buffers,
-#: that compositing allocates (bytes).  Not ``mem_cap``, which bounds the
-#: per-stage buffers and may be far smaller than any map.
+#: Largest block of binning's candidates or of one pixel group's blend
+#: buffers (bytes), whatever larger ``mem_cap`` allows: a block stays in L2.
+BLOCK_BYTES = 1 << 20
+#: Largest C x H x W float32 map that compositing allocates (bytes).  Not
+#: ``mem_cap``, which bounds the per-stage buffers and may be far smaller
+#: than any map.
 MAX_MAP_BYTES = 1 << 30
 
 _MAGIC = b"RGFM"
@@ -276,9 +288,12 @@ def _tile_size(bev: BevRange, settings: RasterSettings) -> int:
 def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
          mem_cap: int = DEFAULT_MEM_CAP):
     """Bin blend-sorted splats into every tile where their alpha can reach
-    ``alpha_min``; tile ``t`` gets ``rows[starts[t]:starts[t + 1]]``, ascending.
+    ``alpha_min``.  Returns ``rows``, the non-empty tiles ascending and
+    their ``starts``: tile ``tiles[j]`` gets ``rows[starts[j]:starts[j + 1]]``,
+    ascending, so the arrays are sized by the hits, not by the tile count.
     The (splat, tile) candidates are spread and tested in blocks of as many
-    as ``mem_cap`` holds at :data:`BIN_CANDIDATE_BYTES` each."""
+    as ``min(mem_cap, BLOCK_BYTES)`` holds at :data:`BIN_CANDIDATE_BYTES`
+    each."""
     ts = _tile_size(bev, settings)
     ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
     a, b, c = cov2d.T
@@ -298,13 +313,13 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
             for v, n in ((mx - r, ntx), (mx + r, ntx), (my - r, nty), (my + r, nty))
         )
         # candidates: every tile the coverage disc touches, numbered splat by
-        # splat and spread in blocks that fit mem_cap
+        # splat and spread in blocks
         nx = tx1 - tx0 + 1
         counts = nx * (ty1 - ty0 + 1)
         ends = np.cumsum(counts)
         first = ends - counts
         total = int(ends[-1]) if ends.size else 0
-        block = mem_cap // BIN_CANDIDATE_BYTES
+        block = min(mem_cap, BLOCK_BYTES) // BIN_CANDIDATE_BYTES
         if total and block < 1:
             raise AllocationLimit(f"one of {total} (splat, tile) candidates needs "
                                   f"{BIN_CANDIDATE_BYTES} bytes, cap is {mem_cap}")
@@ -339,18 +354,23 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
     pair = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
     tile = np.concatenate([np.zeros(0, dtype=np.int64), *tiles])
     del hits, tiles
-    starts = np.concatenate([[0], np.cumsum(np.bincount(tile, minlength=ntx * nty))])
-    return idx[pair[np.argsort(tile, kind="stable")]], starts
+    order = np.argsort(tile, kind="stable")
+    tile = tile[order]
+    starts = np.flatnonzero(np.diff(tile, prepend=-1))  # the first hit of each tile
+    return idx[pair[order]], tile[starts], np.append(starts, len(tile))
 
 
 def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings) -> TileGrid:
     """Bin blend-sorted splats into every tile where their alpha can reach
     ``alpha_min``; splats below it or wholly off the map are binned nowhere."""
     mean2d, cov2d, inv, opacity = _splat_arrays(sorted_splats)
-    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
+    rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
     ts = settings.tile_size
-    tiles = tuple(rows[starts[t]:starts[t + 1]].tolist() for t in range(len(starts) - 1))
-    return TileGrid(ts, (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts, tiles)
+    ntx, nty = (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
+    lists = [[] for _ in range(ntx * nty)]
+    for j, t in enumerate(tiles.tolist()):
+        lists[t] = rows[starts[j]:starts[j + 1]].tolist()
+    return TileGrid(ts, ntx, nty, tuple(lists))
 
 
 def _check_splats(splats: list, channels) -> int:
@@ -375,65 +395,85 @@ def _blend_sum(feats: Array, weights: Array) -> Array:
     return np.einsum("kc,kp->cp", feats, weights)
 
 
+def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) -> Array:
+    """Sum (C, len(ys) * len(xs)) of the rows ``idx`` (in blend order) at the
+    pixels ``ys`` x ``xs``; ``bufs`` hold K x pixels entries each."""
+    k, n = len(idx), len(ys) * len(xs)
+    q, use, w32, t_after = (buf[:k * n].reshape(k, n) for buf in bufs)
+    t_min = np.float32(settings.t_min)
+    dx = (xs + 0.5) - mean2d[idx, 0:1]  # (K, w)
+    dy = (ys + 0.5) - mean2d[idx, 1:2]  # (K, h)
+    ia, ib, ic = inv[idx].T[:, :, None]
+    # -0.5 q for q = ia*dx*dx + 2*ib*(dx*dy) + ic*dy*dy summed in that
+    # order: scaling each term by a power of two rounds identically
+    q = np.multiply(dy[:, :, None], dx[:, None, :], out=q.reshape(k, len(ys), -1))
+    q *= (-ib)[:, :, None]
+    q += (-0.5 * ((ia * dx) * dx))[:, None, :]
+    q += (-0.5 * ((ic * dy) * dy))[:, :, None]
+    alpha = np.exp(q, out=q).reshape(k, n)
+    alpha *= opacity[idx, None]
+    np.minimum(alpha, settings.alpha_max, out=alpha)
+    np.greater_equal(alpha, settings.alpha_min, out=use)
+    w32.fill(0.0)
+    np.copyto(w32, alpha, casting="same_kind", where=use)
+    np.subtract(np.float32(1.0), w32, out=t_after)
+    # T in 64-row blocks, each carrying the last T of the one before: the
+    # same products.  A carried T below t_min feeds only masked entries,
+    # so it is flushed to +0 rather than sunk through float32 subnormals.
+    for k0 in range(0, k, 64):
+        blk = t_after[k0:k0 + 64]
+        if k0:
+            blk[0] *= t_after[k0 - 1]
+        np.cumprod(blk, axis=0, out=blk)
+        if t_min > 0:
+            use[k0:k0 + 64] &= blk >= t_min
+            blk[-1][blk[-1] < t_min] = 0.0
+    w32[1:] *= t_after[:-1]  # alpha * T before the splat
+    w32 *= use
+    # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
+    # a float32 sum that starts at +0, so dropping them changes no bit.
+    live = np.flatnonzero(use.any(axis=1))
+    return _blend_sum(feats32[idx[live]], w32[live])
+
+
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                mem_cap: int = DEFAULT_MEM_CAP) -> BevFeatureMap:
-    """Bin and blend splats given in blend order (float32 accumulation);
-    ``mem_cap`` bounds binning's candidates."""
+    """Bin and blend splats given in blend order (float32 accumulation).
+    Each tile is blended in pixel groups, whole rows or part of one row,
+    whose buffers of 17 bytes a (splat, pixel) fit ``min(mem_cap,
+    BLOCK_BYTES)``, and one pixel at least; ``mem_cap`` must hold one
+    pixel's buffers in the deepest tile."""
     out = _zero_map(features.shape[1], bev)
-    rows, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
-    feats32 = features.astype(np.float32)
-    ts, t_min = _tile_size(bev, settings), np.float32(settings.t_min)
+    rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
+    feats32 = features.astype(np.float32, copy=False)
+    ts = _tile_size(bev, settings)
     ntx = (bev.w + ts - 1) // ts
-    sizes = np.diff(starts)
-    # per-pixel buffers for the deepest tile: 8 + 1 + 4 + 4 bytes a (splat, pixel)
-    deepest = int(sizes.max(initial=0))
-    size = deepest * min(ts, bev.h) * min(ts, bev.w)
-    if 17 * size > MAX_MAP_BYTES:
-        raise AllocationLimit(f"the blend buffers of a tile of {deepest} splats need "
-                              f"{17 * size} bytes, cap is {MAX_MAP_BYTES}")
-    qbuf, ubuf = np.empty(size), np.empty(size, dtype=bool)
-    wbuf, tbuf = np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32)
-    for t in np.flatnonzero(sizes).tolist():
-        idx = rows[starts[t]:starts[t + 1]]
+    # per (splat, pixel): q (8 bytes), use (1), weight (4) and T (4)
+    deepest = int(np.diff(starts).max(initial=0))
+    if 17 * deepest > mem_cap:
+        raise AllocationLimit(f"one pixel's blend buffers in a tile of {deepest} splats need "
+                              f"{17 * deepest} bytes, cap is {mem_cap}")
+    block = min(mem_cap, BLOCK_BYTES) // 17
+    # a group's K x pixels entries: at most the block, or K at one pixel,
+    # and no more than a whole tile
+    size = min(max(block, deepest), deepest * min(ts, bev.h) * min(ts, bev.w))
+    bufs = (np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=np.float32),
+            np.empty(size, dtype=np.float32))
+    for t, s0, s1 in zip(tiles.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
+        idx = rows[s0:s1]
         ty, tx = divmod(t, ntx)
         r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
         c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
-        k, n = len(idx), (r1 - r0) * (c1 - c0)
-        dx = (np.arange(c0, c1) + 0.5) - mean2d[idx, 0:1]  # (K, w)
-        dy = (np.arange(r0, r1) + 0.5) - mean2d[idx, 1:2]  # (K, h)
-        ia, ib, ic = inv[idx].T[:, :, None]
-        # -0.5 q for q = ia*dx*dx + 2*ib*(dx*dy) + ic*dy*dy summed in that
-        # order: scaling each term by a power of two rounds identically
-        q = np.multiply(dy[:, :, None], dx[:, None, :], out=qbuf[:k * n].reshape(k, r1 - r0, -1))
-        q *= (-ib)[:, :, None]
-        q += (-0.5 * ((ia * dx) * dx))[:, None, :]
-        q += (-0.5 * ((ic * dy) * dy))[:, :, None]
-        alpha = np.exp(q, out=q).reshape(k, n)
-        alpha *= opacity[idx, None]
-        np.minimum(alpha, settings.alpha_max, out=alpha)
-        use = np.greater_equal(alpha, settings.alpha_min, out=ubuf[:k * n].reshape(k, n))
-        w32 = wbuf[:k * n].reshape(k, n)
-        w32.fill(0.0)
-        np.copyto(w32, alpha, casting="same_kind", where=use)
-        t_after = np.subtract(np.float32(1.0), w32, out=tbuf[:k * n].reshape(k, n))
-        # T in 64-row blocks, each carrying the last T of the one before: the
-        # same products.  A carried T below t_min feeds only masked entries,
-        # so it is flushed to +0 rather than sunk through float32 subnormals.
-        for k0 in range(0, k, 64):
-            blk = t_after[k0:k0 + 64]
-            if k0:
-                blk[0] *= t_after[k0 - 1]
-            np.cumprod(blk, axis=0, out=blk)
-            if t_min > 0:
-                use[k0:k0 + 64] &= blk >= t_min
-                blk[-1][blk[-1] < t_min] = 0.0
-        w32[1:] *= t_after[:-1]  # alpha * T before the splat
-        w32 *= use
-        # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
-        # a float32 sum that starts at +0, so dropping them changes no bit.
-        live = np.flatnonzero(use.any(axis=1))
-        acc = _blend_sum(feats32[idx[live]], w32[live])
-        out[:, r0:r1, c0:c1] = acc.reshape(-1, r1 - r0, c1 - c0)
+        # groups of up to block // K pixels: whole rows, else part of one row
+        px = max(block // len(idx), 1)
+        nrow, ncol = max(px // (c1 - c0), 1), min(px, c1 - c0)
+        for g0 in range(r0, r1, nrow):
+            g1 = min(g0 + nrow, r1)
+            for h0 in range(c0, c1, ncol):
+                h1 = min(h0 + ncol, c1)
+                acc = _blend_pixels(idx, np.arange(g0, g1), np.arange(h0, h1), mean2d, inv,
+                                    opacity, feats32, settings, bufs)
+                out[:, g0:g1, h0:h1] = acc.reshape(-1, g1 - g0, h1 - h0)
     return BevFeatureMap(out, bev)
 
 
@@ -492,9 +532,9 @@ def encode(
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
     projection, and tiled rasterization; ``threads`` is accepted and ignored,
-    ``mem_cap`` bounds the neighbour pairs, the attention score block and
-    binning's (splat, tile) candidates.  An overflow that no stage expects
-    raises :class:`InvalidSpec`."""
+    ``mem_cap`` bounds the neighbour pairs, the attention score block,
+    binning's (splat, tile) candidates and the blend's per-pixel buffers.
+    An overflow that no stage expects raises :class:`InvalidSpec`."""
     settings = settings or RasterSettings()
     # raw features past ~1e154 square to inf in the layer norms and would
     # end in a NaN map or an unrelated error; where a stage expects an
@@ -505,11 +545,16 @@ def encode(
             f_gfa = gfa(cloud, params.attn, mem_cap)
             scales, quats, feats = predict_attribute_arrays(cloud, f_lfa, f_gfa, params.head,
                                                             params.s_min)
+            del f_lfa, f_gfa
             pos = cloud.positions
             mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
+            del scales, quats
             o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
-            return _composite(mean2d[o], cov2d[o], inv[o], np.ones(len(cloud)), feats[o], bev,
-                              settings, mem_cap)
+            # feats is a view of the head's output: once it is sorted, that
+            # output is freed and only blend-ordered arrays stay
+            mean2d, cov2d, inv, feats = mean2d[o], cov2d[o], inv[o], feats[o].astype(np.float32)
+            return _composite(mean2d, cov2d, inv, np.ones(len(cloud)), feats, bev, settings,
+                              mem_cap)
     except FloatingPointError as exc:
         raise InvalidSpec(f"encoding overflows float64 ({exc})") from None
 
@@ -581,8 +626,12 @@ def read_feature_map(path) -> BevFeatureMap:
     payload = len(blob) - 4 - _HEADER.size
     if payload != 4 * c * h * w:
         raise FormatError(f"RGFM payload is {payload} bytes, expected {4 * c * h * w}")
+    bev = BevRange(x_min, x_max, y_min, y_max, h, w)
+    # with C = 0 the payload does not bound H x W
+    if 4 * h * w > np.iinfo(np.intp).max:
+        raise FormatError(f"an RGFM plane of {h} x {w} float32 values is too large for an array")
     data = np.frombuffer(blob, dtype="<f4", offset=4 + _HEADER.size).reshape(c, h, w)
-    return BevFeatureMap(data.copy(), BevRange(x_min, x_max, y_min, y_max, h, w))
+    return BevFeatureMap(data.copy(), bev)
 
 
 def write_pgm(fmap: BevFeatureMap, channel: int, path) -> None:

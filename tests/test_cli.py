@@ -246,15 +246,22 @@ def test_encode_tile_larger_than_the_map_is_one_tile(tmp_path, small_cloud, tile
     assert big.read_bytes() == one.read_bytes()
 
 
-def test_encode_blend_buffers_beyond_the_map_cap_exit_3(tmp_path, small_cloud, capsys):
-    # one 2048 x 2048 tile holds all 80 splats: its per-pixel blend buffers
-    # are 5.7 GB (they were sized tile_size^2, 10.7 GB: a raw MemoryError)
+def test_encode_blend_buffers_beyond_mem_cap_exit_3(tmp_path, small_cloud, capsys):
+    # one 64 x 64 tile holds all 80 splats: 80 * 17 = 1360 bytes of blend
+    # buffers a pixel.  Only the fixed 1 GiB map cap used to bound them, and
+    # encode exited 0; every other stage fits 1000 bytes (a score row is 640)
     out = tmp_path / "m.rgfm"
-    assert main(["encode", "--cloud", str(small_cloud), "--out", str(out), "--set", "c=8",
-                 "--set", "h=2048", "--set", "w=2048", "--set", "tile_size=4096"]) == 3
+    args = ["encode", "--cloud", str(small_cloud), "--out", str(out), "--set", "c=16",
+            "--set", "h=64", "--set", "w=64", "--set", "tile_size=64"]
+    assert main(args + ["--set", "mem_cap=1000"]) == 3
     err = capsys.readouterr().err
-    assert "error: AllocationLimit: the blend buffers of a tile of" in err
-    assert "cap is 1073741824" in err and not out.exists()
+    assert "error: AllocationLimit: one pixel's blend buffers in a tile of 80 splats need 1360 " \
+           "bytes, cap is 1000" in err
+    assert not out.exists()
+    assert main(args) == 0
+    want = out.read_bytes()
+    assert main(args + ["--set", "mem_cap=1360"]) == 0  # one-pixel blend groups
+    assert out.read_bytes() == want
 
 
 def test_encode_zero_raw_channels_exits_2(tmp_path, capsys):

@@ -150,6 +150,28 @@ def test_binary_format_header(tmp_path):
     assert len(blob) == 16 + 5 * 8
 
 
+class _ManyPoints:
+    """Stands in for a cloud of 2^32 points, which no test can hold."""
+
+    c_raw = 1
+
+    def __len__(self):
+        return 2 ** 32
+
+
+def test_binary_write_refuses_counts_past_u32_and_leaves_no_file(tmp_path):
+    # the counts used to be packed unchecked: a raw struct.error after the
+    # magic bytes were already written
+    path = tmp_path / "c.rgpc"
+    for cloud in (PointCloud(np.zeros((0, 3)), np.zeros((0, 2 ** 32))), _ManyPoints()):
+        with pytest.raises(FormatError, match="u32"):
+            write_cloud(cloud, path, binary=True)
+        assert not path.exists()
+    edge = PointCloud(np.zeros((0, 3)), np.zeros((0, 2 ** 32 - 1)))
+    write_cloud(edge, path, binary=True)
+    assert read_cloud(path).c_raw == 2 ** 32 - 1
+
+
 def test_read_rejects_malformed(tmp_path):
     cases = {
         "trunc.rgpc": b"RGPC\x01\x00",

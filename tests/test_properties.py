@@ -3,7 +3,8 @@
 result, ``load_weights`` returns a parameter set, ``read_cloud`` a valid
 cloud, or they raise a typed ``RgkError``, and ``rgk bgl``, ``rgk encode``,
 ``rgk generate`` and ``rgk bench-lfa`` exit 0, 2, 3 or 4, never 1, also
-at sizes far past their allocation caps.  A leaked NumPy
+at sizes far past their allocation caps; ``read_feature_map`` returns a
+map of the stated shape or raises a typed ``RgkError``.  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
 around cell boundaries."""
@@ -30,7 +31,14 @@ from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write
 from rgkit.cli import main
 from rgkit.errors import RgkError
 from rgkit.pointcloud import BevRange, PointCloud, read_cloud
-from rgkit.splat import BLEND_ORDERS, MAX_MAP_BYTES, RasterSettings, encode
+from rgkit.splat import (
+    BLEND_ORDERS,
+    MAX_MAP_BYTES,
+    BevFeatureMap,
+    RasterSettings,
+    encode,
+    read_feature_map,
+)
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -332,6 +340,49 @@ def test_rgk_encode_of_any_cloud_file_exits_0_2_3_or_4(name_blob):
     assert code in (0, 2, 3, 4), err.getvalue()
     assert code == 0 or err.getvalue().startswith("error: ")
     assert parsed or code != 0
+
+
+#: RGFM header sizes: small ones and the u32 edge, whose products reach ~8e28
+map_dims = st.one_of(st.integers(0, 4), st.sampled_from([2 ** 16, 2 ** 31, 2 ** 32 - 1]))
+#: range extents: NaN, infinite, equal and inverted ones among them
+map_extents = st.one_of(st.floats(-100.0, 100.0),
+                        st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf,
+                                         math.nan]))
+
+
+@st.composite
+def rgfm_files(draw):
+    """An RGFM file whose header states version 1 (or 0 or 2), any C, H and
+    W up to 2^32 - 1 and any extents, with the payload the header asks for
+    when that is small, else a few bytes; maybe cut, extended or
+    overwritten afterwards."""
+    version = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    c, h, w = draw(map_dims), draw(map_dims), draw(map_dims)
+    extents = [draw(map_extents) for _ in range(4)]
+    size = 4 * c * h * w
+    payload = draw(st.binary(min_size=size, max_size=size) if size <= 256
+                   else st.binary(max_size=16))
+    blob = b"RGFM" + struct.pack("<IIII4d", version, c, h, w, *extents) + payload
+    return _damage(blob, draw) if draw(st.booleans()) else blob
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rgfm_files())
+# zero channels of 2^31 x 2^31 values: a raw ValueError from the reshape
+@example(b"RGFM" + struct.pack("<IIII4d", 1, 0, 2 ** 31, 2 ** 31, 0.0, 1.0, 0.0, 1.0))
+def test_feature_map_files_parse_to_a_map_or_a_typed_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.rgfm"
+        path.write_bytes(blob)
+        try:
+            fmap = read_feature_map(path)
+        except RgkError:
+            return
+    c, h, w = struct.unpack_from("<III", blob, 8)
+    assert isinstance(fmap, BevFeatureMap) and fmap.data.dtype == np.float32
+    assert fmap.data.shape == (c, h, w) == (c, fmap.bev.h, fmap.bev.w)
+    assert len(blob) == 4 + struct.calcsize("<IIII4d") + 4 * c * h * w
 
 
 def _exit_code(argv) -> int:

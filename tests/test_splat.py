@@ -28,6 +28,7 @@ from rgkit.rng import SplitMix64, stream_seed
 from rgkit.splat import (
     BIN_CANDIDATE_BYTES,
     BLEND_ORDERS,
+    BLOCK_BYTES,
     BevFeatureMap,
     RasterSettings,
     Splat2D,
@@ -43,7 +44,7 @@ from rgkit.splat import (
     write_feature_map,
     write_pgm,
 )
-from rgkit.splat import _blend_sum
+from rgkit.splat import _blend_sum, _columns, _composite, _splat_arrays
 
 VOD = BevRange(0.0, 51.2, -25.6, 25.6, 320, 320)
 SMALL = BevRange(0.0, 16.0, -8.0, 8.0, 16, 16)
@@ -476,7 +477,7 @@ def _ref_rasterize(splats, bev, channels, settings):
     return out
 
 
-def _ref_encode(cloud, params, bev, settings):
+def _ref_splats(cloud, params, bev, settings):
     f_lfa = lfa_index_scatter(cloud, params.lfa, params.r)
     f_gfa = gfa(cloud, params.attn)
     raw = params.head.apply(np.concatenate([cloud.features, f_lfa, f_gfa], axis=1))
@@ -484,8 +485,12 @@ def _ref_encode(cloud, params, bev, settings):
     prims = [GaussianPrimitive3D(cloud.positions[i].copy(), scales[i],
                                  _ref_quat_normalize(raw[i, 3:7]), 1.0, raw[i, 7:].copy())
              for i in range(len(cloud))]
-    splats = [_ref_project(g, bev, settings.lambda_blur, i) for i, g in enumerate(prims)]
-    return _ref_rasterize(splats, bev, params.feature_dim, settings)
+    return [_ref_project(g, bev, settings.lambda_blur, i) for i, g in enumerate(prims)]
+
+
+def _ref_encode(cloud, params, bev, settings):
+    return _ref_rasterize(_ref_splats(cloud, params, bev, settings), bev, params.feature_dim,
+                          settings)
 
 
 def _assert_same_bytes(got, want):
@@ -507,14 +512,18 @@ def test_encode_matches_per_object_pipeline_bytes(seed, t_min, blend_order):
 TJ4D = BevRange(0.0, 69.12, -39.68, 39.68, 432, 496)  # the tj4d preset: 7.18 x 5.44 px/m
 
 
-@pytest.mark.parametrize("blend_order,t_min", [("z-asc", 1e-4), ("z-desc", 1e-4),
-                                               ("index", 1e-4), ("z-asc", 0.0)])
-def test_encode_matches_per_object_pipeline_bytes_on_a_dense_tj4d_frame(blend_order, t_min):
+def _dense_tj4d_frame():
     # 2500 points in 5 tight clusters: hundreds of splats per tile, as in
     # the benchmark's tj4d-dense frames
     cloud = generate_scene(SceneSpec(seed=74, n_points=2500, n_clusters=5, cluster_sigma=0.5,
                                      bev=TJ4D, z_min=-4.0, z_max=2.0))
-    params = init_weights(0, c_raw=4, c=64)
+    return cloud, init_weights(0, c_raw=4, c=64)
+
+
+@pytest.mark.parametrize("blend_order,t_min", [("z-asc", 1e-4), ("z-desc", 1e-4),
+                                               ("index", 1e-4), ("z-asc", 0.0)])
+def test_encode_matches_per_object_pipeline_bytes_on_a_dense_tj4d_frame(blend_order, t_min):
+    cloud, params = _dense_tj4d_frame()
     settings = RasterSettings(t_min=t_min, blend_order=blend_order)
     _assert_same_bytes(encode(cloud, params, TJ4D, settings).data,
                        _ref_encode(cloud, params, TJ4D, settings))
@@ -648,6 +657,88 @@ def test_binning_blocks_split_splats_and_keep_the_bytes():
         encode(cloud, params, VOD, mem_cap=BIN_CANDIDATE_BYTES - 1)
 
 
+def test_binning_index_arrays_grow_with_the_hits_not_the_tiles():
+    # two small splats on 4 M one-pixel tiles: binning used to build index
+    # arrays over every tile (84 MB traced besides the 16 MiB map)
+    bev = BevRange(0.0, 2048.0, -1024.0, 1024.0, 2048, 2048)
+    cloud = PointCloud([[10.0, 0.0, 0.0], [1030.0, 5.0, 1.0]], [[1.0, 0.5], [-1.0, 2.0]])
+    params = init_weights(0, c_raw=2, c=1)
+    tracemalloc.start()
+    try:
+        fmap = encode(cloud, params, bev, RasterSettings(tile_size=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nonzero_pixels(fmap) > 0
+    assert peak < (16 << 20) + (2 << 20)
+
+
+def _composite_at(splats, bev, channels, settings, mem_cap):
+    """:func:`rasterize` under ``mem_cap``."""
+    order = sort_splats(splats, settings.blend_order)
+    return _composite(*_splat_arrays(order), _columns(order, "features", channels), bev,
+                      settings, mem_cap).data
+
+
+def _one_pixel_cap(splats, bev, settings):
+    """A mem_cap that holds one pixel's blend buffers of the deepest tile
+    (17 bytes a splat) but not two, and one binning candidate."""
+    tiles = build_tile_grid(sort_splats(splats, settings.blend_order), bev, settings).tiles
+    deepest = max(map(len, tiles))
+    cap = max(17 * deepest, BIN_CANDIDATE_BYTES)
+    assert cap < 2 * 17 * deepest
+    return cap
+
+
+@pytest.fixture(scope="module")
+def dense_tj4d_splats():
+    cloud, params = _dense_tj4d_frame()
+    return _ref_splats(cloud, params, TJ4D, RasterSettings())
+
+
+@pytest.mark.parametrize("blend_order", BLEND_ORDERS)
+@pytest.mark.parametrize("t_min", [1e-4, 0.0])
+def test_blend_pixel_groups_keep_the_bytes_on_a_dense_tj4d_frame(dense_tj4d_splats, t_min,
+                                                                 blend_order):
+    # groups of whole rows and of one pixel; the default cap's are in the
+    # per-object pipeline test above
+    settings = RasterSettings(t_min=t_min, blend_order=blend_order)
+    want = _ref_rasterize(dense_tj4d_splats, TJ4D, 64, settings)
+    for cap in (1 << 16, _one_pixel_cap(dense_tj4d_splats, TJ4D, settings)):
+        _assert_same_bytes(_composite_at(dense_tj4d_splats, TJ4D, 64, settings, cap), want)
+
+
+@pytest.mark.parametrize("tile_size", [16, 32])
+def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size):
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    splats = _adversarial_splats(bev, tile_size)
+    for blend_order in BLEND_ORDERS:
+        for t_min in (1e-4, 0.0):
+            settings = RasterSettings(tile_size=tile_size, t_min=t_min, blend_order=blend_order)
+            want = _ref_rasterize(splats, bev, 1, settings)
+            one_pixel = _one_pixel_cap(splats, bev, settings)
+            for cap in (BLOCK_BYTES, 1 << 16, 3 * one_pixel, one_pixel):
+                _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
+
+
+def test_blend_buffers_stay_under_mem_cap():
+    # 600 splats over one 64 x 64 tile: the blend buffers used to hold the
+    # whole tile whatever mem_cap said, 600 * 4096 * 17 bytes = 41.8 MB
+    bev = BevRange(0.0, 51.2, -25.6, 25.6, 64, 64)
+    cloud = generate_scene(SceneSpec(seed=0, n_points=600))
+    params = init_weights(0, c_raw=4, c=8, s_min=50.0)
+    settings = RasterSettings(tile_size=64)
+    want = _ref_encode(cloud, params, bev, settings)
+    tracemalloc.start()
+    try:
+        got = encode(cloud, params, bev, settings, mem_cap=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_bytes(got.data, want)
+    assert peak < 4 << 20
+
+
 def test_one_channel_one_pixel_corner_tile_matches_per_object_pipeline():
     # at tile_size 16 a 33 x 33 map ends in a one-pixel tile; with one channel
     # its sum is a (K) . (K) product, which einsum would not add in order,
@@ -661,7 +752,9 @@ def test_one_channel_one_pixel_corner_tile_matches_per_object_pipeline():
 
 def test_blend_sum_adds_rows_in_order():
     gen = SplitMix64(stream_seed(76, "sum"))
-    for k, c, p in ((300, 1, 1), (64, 1, 1), (300, 2, 1), (300, 1, 2), (300, 3, 5), (0, 1, 1)):
+    # P = 1 is every one-pixel blend group
+    for k, c, p in ((300, 1, 1), (64, 1, 1), (300, 2, 1), (300, 1, 2), (300, 3, 5), (0, 1, 1),
+                    (1000, 1, 1), (1000, 2, 1), (64, 64, 1), (1000, 64, 1)):
         feats = gen.normals(k * c).reshape(k, c).astype(np.float32)
         weights = gen.uniforms(k * p).reshape(k, p).astype(np.float32)
         want = np.zeros((c, p), dtype=np.float32)
