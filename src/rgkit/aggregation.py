@@ -54,6 +54,8 @@ from typing import Optional
 
 import numpy as np
 
+from .config import (DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR, check_radius,
+                     check_scale_floor)
 from .errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from .geom import quat_normalize
 from .pointcloud import PointCloud
@@ -62,14 +64,6 @@ from .special import gelu
 
 Array = np.ndarray
 
-#: Neighborhood radius (meters) of the local aggregation.
-DEFAULT_RADIUS = 0.32
-#: Feature dimension of the encoder.
-DEFAULT_DIM = 64
-#: Additive floor applied to softplus scale outputs (meters).
-SCALE_FLOOR = 1e-3
-#: Default cap for the dense broadcast buffers and attention score blocks (bytes).
-DEFAULT_MEM_CAP = 1 << 30
 #: Largest parameter set :func:`init_weights` draws (bytes).  It is not
 #: ``mem_cap``, which bounds each stage's input-sized buffers and may be far
 #: smaller than any weights; a cloud header with billions of channels would
@@ -235,18 +229,6 @@ def _sq_norms(offsets: Array) -> Array:
     """
     dx, dy, dz = offsets[..., 0], offsets[..., 1], offsets[..., 2]
     return (dx * dx + dy * dy) + dz * dz
-
-
-def check_radius(r: float) -> None:
-    """Every search compares squared distances with ``r * r``: it must be > 0 and finite."""
-    if not (r > 0 and 0 < r * r < math.inf):
-        raise InvalidSpec(f"neighborhood radius must be > 0 with a finite nonzero square, got {r}")
-
-
-def check_scale_floor(s_min: float) -> None:
-    """The floor is added to every softplus scale: it must be finite and >= 0."""
-    if not (math.isfinite(s_min) and s_min >= 0):
-        raise InvalidSpec(f"s_min must be finite and >= 0, got {s_min}")
 
 
 def _check_lfa_args(cloud: PointCloud, layer: LinearLayer, r: float) -> None:

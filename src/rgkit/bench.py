@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import (
-    DEFAULT_MEM_CAP,
-    DEFAULT_RADIUS,
     broadcast_mem_bytes,
     build_neighbor_index,
     index_scatter_mem_bytes,
@@ -32,6 +30,7 @@ from .aggregation import (
     lfa_traversal,
     traversal_mem_bytes,
 )
+from .config import DEFAULT_MEM_CAP, DEFAULT_RADIUS
 from .errors import AllocationLimit, InvalidSpec
 from .pointcloud import PointCloud, SceneSpec, generate_scene
 

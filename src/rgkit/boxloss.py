@@ -39,6 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# the settings live in config; both names stay importable from here
+from .config import DEFAULT_A_PER_CLASS, BglConfig
 from .errors import (
     EmptyBatch,
     FormatError,
@@ -54,17 +56,15 @@ Array = np.ndarray
 #: Dimensions below this (meters) are degenerate and clamped up to it before conversion.
 SIZE_FLOOR = 1e-3
 
-#: Per-class sharpness defaults: small, deformable classes keep the full
-#: box extent (a=1); large rigid classes concentrate mass (a=3).
-DEFAULT_A_PER_CLASS = {"pedestrian": 1.0, "cyclist": 1.0, "car": 3.0, "truck": 3.0}
-
 _COLUMNS = ("x", "y", "z", "l", "w", "h", "theta")
 _params = operator.attrgetter(*_COLUMNS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box3D:
-    """Axis-yawed 3D box: center (m), dimensions (m), yaw about z (rad)."""
+    """Axis-yawed 3D box: center (m), dimensions (m), yaw about z (rad).
+
+    Slotted: a batch holds thousands of boxes, and a box needs no ``__dict__``."""
 
     x: float
     y: float
@@ -104,25 +104,6 @@ class KlComponents:
     trace: float
     logdet: float
     total: float
-
-
-@dataclass(frozen=True)
-class BglConfig:
-    """Loss configuration: the sharpness ``a`` per class and the fallback
-    ``a`` for unlisted or unlabelled boxes."""
-
-    a_per_class: dict
-    a_default: float = 1.0
-
-    def __post_init__(self) -> None:
-        bad = {k: v for k, v in self.a_per_class.items() if not 0 < v < math.inf}
-        if bad or not 0 < self.a_default < math.inf:
-            raise InvalidSpec(f"every a must be finite and > 0, got {bad or self.a_default}")
-
-    def a_for(self, cls: Optional[str]) -> float:
-        if cls is None:
-            return self.a_default
-        return self.a_per_class.get(cls, self.a_default)
 
 
 def _clamped(b: Box3D) -> tuple:

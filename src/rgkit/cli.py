@@ -16,6 +16,9 @@ merged configuration and exits without doing work.
 Exit codes: 0 success; 1 usage error; 2 malformed input or I/O failure;
 3 numerical or shape failure; 4 a gate or check reported a failure.
 Errors print a single ``error: <Type>: <message>`` line on stderr.
+
+Each command imports the modules it runs when it starts, so ``rgk bgl``
+and ``--dump-config`` load no encoder module.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import sys
 
 import numpy as np
 
-from .aggregation import init_weights
-from .bench import format_report, report_to_csv, run_bench
 from .boxloss import _finite_gradient, _pair_terms, fd_gradient, read_boxes
 from .config import (
     PRESETS,
@@ -38,14 +39,6 @@ from .config import (
     load_config,
 )
 from .errors import FormatError, InvalidSpec, RgkError
-from .pointcloud import SceneSpec, generate_scene, read_cloud, write_cloud
-from .splat import (
-    encode,
-    nonzero_pixels,
-    pillar_scatter,
-    write_feature_map,
-    write_pgm,
-)
 
 #: Largest tolerated relative error in the runtime gradient check.
 GRAD_CHECK_TOL = 1e-4
@@ -94,6 +87,8 @@ def cmd_generate(args) -> int:
     cfg = _merge_config(args)
     if _maybe_dump(args, cfg):
         return 0
+    from .pointcloud import SceneSpec, generate_scene, write_cloud
+
     spec = SceneSpec(
         seed=cfg.seed if args.seed is None else args.seed,
         n_points=args.n,
@@ -115,6 +110,10 @@ def cmd_encode(args) -> int:
     cfg = _merge_config(args)
     if _maybe_dump(args, cfg):
         return 0
+    from .aggregation import init_weights
+    from .pointcloud import read_cloud
+    from .splat import encode, nonzero_pixels, pillar_scatter, write_feature_map, write_pgm
+
     cloud = read_cloud(args.cloud)
     seed = cfg.seed if args.seed is None else args.seed
     params = init_weights(
@@ -150,6 +149,8 @@ def cmd_bench_lfa(args) -> int:
     cfg = _merge_config(args)
     if _maybe_dump(args, cfg):
         return 0
+    from .bench import format_report, report_to_csv, run_bench
+
     report = run_bench(
         _parse_n_list(args.n),
         c_raw=args.c_raw,

@@ -1,12 +1,20 @@
-"""Run configuration: one flat set of tunables, a plain-text format, and
-the two dataset presets.
+"""Run configuration: every settings type and default of the toolkit, one
+flat set of tunables, a plain-text format, and the two dataset presets.
+
+This module is the settings leaf: it imports only :mod:`rgkit.errors` and
+the standard library, so reading, merging and validating a configuration
+loads none of the kernels.  The kernel modules take their settings types
+(:class:`BevRange`, :class:`RasterSettings`, :class:`BglConfig`) and
+defaults from here.
 
 Config files are UTF-8 text with ``key = value`` lines; blank lines and
 ``#`` comments are ignored; later duplicates override earlier ones.
 The keys are the scalar field names of :class:`RunConfig`, each parsed
 with its field's type, plus the ``a_<class>`` family (floats), which
 fills the per-class sharpness map of the box loss; other keys are
-rejected.  ``dump_config`` emits every key in canonical order with
+rejected, and so is a class name that a config line could not hold (one
+with ``=``, a line break, surrounding blanks or a character UTF-8 cannot
+encode).  ``dump_config`` emits every key in canonical order with
 full-precision (``repr``) numbers so an accepted configuration
 round-trips bit-exactly.
 
@@ -18,15 +26,131 @@ settings: ``vod`` (51.2 m x 51.2 m at 320 x 320) and ``tj4d``
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
-from .aggregation import (DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS, SCALE_FLOOR, check_radius,
-                          check_scale_floor)
-from .boxloss import DEFAULT_A_PER_CLASS, BglConfig
 from .errors import FormatError, InvalidSpec
-from .pointcloud import DEFAULT_RANGE, BevRange, SceneSpec
-from .splat import RasterSettings
+
+#: Neighborhood radius (meters) of the local aggregation.
+DEFAULT_RADIUS = 0.32
+#: Feature dimension of the encoder.
+DEFAULT_DIM = 64
+#: Additive floor applied to softplus scale outputs (meters).
+SCALE_FLOOR = 1e-3
+#: Default cap for the dense broadcast buffers and attention score blocks (bytes).
+DEFAULT_MEM_CAP = 1 << 30
+#: Height range (meters) of synthetic scenes.
+DEFAULT_Z_MIN = -3.0
+DEFAULT_Z_MAX = 2.0
+
+#: Orders the rasterizer can composite splats in (ties by source index).
+BLEND_ORDERS = ("z-asc", "z-desc", "index")
+
+#: Per-class sharpness defaults: small, deformable classes keep the full
+#: box extent (a=1); large rigid classes concentrate mass (a=3).
+DEFAULT_A_PER_CLASS = {"pedestrian": 1.0, "cyclist": 1.0, "car": 3.0, "truck": 3.0}
+
+
+def check_radius(r: float) -> None:
+    """Every search compares squared distances with ``r * r``: it must be > 0 and finite."""
+    if not (r > 0 and 0 < r * r < math.inf):
+        raise InvalidSpec(f"neighborhood radius must be > 0 with a finite nonzero square, got {r}")
+
+
+def check_scale_floor(s_min: float) -> None:
+    """The floor is added to every softplus scale: it must be finite and >= 0."""
+    if not (math.isfinite(s_min) and s_min >= 0):
+        raise InvalidSpec(f"s_min must be finite and >= 0, got {s_min}")
+
+
+@dataclass(frozen=True)
+class BevRange:
+    """Ground-plane extent in meters plus its pixel resolution.
+
+    ``w`` counts columns and spans the x axis; ``h`` counts rows and spans
+    the y axis.  Values exactly on the boundary are considered inside.
+    """
+
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
+    h: int
+    w: int
+
+    def __post_init__(self) -> None:
+        extents = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(math.isfinite(v) for v in extents):
+            raise InvalidSpec(f"BEV extents must be finite, got {extents}")
+        if not (self.x_max > self.x_min and self.y_max > self.y_min):
+            raise InvalidSpec(f"BEV extents must have positive span, got {extents}")
+        if self.h < 1 or self.w < 1:
+            raise InvalidSpec(f"BEV resolution must be >= 1, got h={self.h}, w={self.w}")
+
+    @property
+    def px_per_m_x(self) -> float:
+        """Columns per meter along x."""
+        return self.w / (self.x_max - self.x_min)
+
+    @property
+    def px_per_m_y(self) -> float:
+        """Rows per meter along y."""
+        return self.h / (self.y_max - self.y_min)
+
+
+#: Default desk-scale extent: 51.2 m x 51.2 m at 0.16 m per pixel.
+DEFAULT_RANGE = BevRange(x_min=0.0, x_max=51.2, y_min=-25.6, y_max=25.6, h=320, w=320)
+
+
+@dataclass(frozen=True)
+class RasterSettings:
+    """Thresholds and scheduling knobs of the rasterizer."""
+
+    alpha_max: float = 0.99
+    alpha_min: float = 1.0 / 255.0
+    t_min: float = 1e-4
+    lambda_blur: float = 0.3
+    tile_size: int = 16
+    blend_order: str = "z-asc"
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha_max <= 1.0:
+            raise InvalidSpec(f"alpha_max must be in (0, 1], got {self.alpha_max}")
+        if not 0.0 < self.alpha_min < 1.0:
+            raise InvalidSpec(
+                f"alpha_min must be in (0, 1) so footprints are finite, "
+                f"got {self.alpha_min}"
+            )
+        if not (math.isfinite(self.lambda_blur) and self.lambda_blur >= 0):
+            raise InvalidSpec(f"lambda_blur must be finite and >= 0, got {self.lambda_blur}")
+        if not (math.isfinite(self.t_min) and self.t_min < 1.0):
+            raise InvalidSpec(f"t_min must be finite and < 1 (<= 0 disables), got {self.t_min}")
+        if self.tile_size < 1:
+            raise InvalidSpec(f"tile_size must be >= 1, got {self.tile_size}")
+        if self.blend_order not in BLEND_ORDERS:
+            raise InvalidSpec(
+                f"blend_order must be one of {BLEND_ORDERS}, got {self.blend_order!r}"
+            )
+
+
+@dataclass(frozen=True)
+class BglConfig:
+    """Loss configuration: the sharpness ``a`` per class and the fallback
+    ``a`` for unlisted or unlabelled boxes."""
+
+    a_per_class: dict
+    a_default: float = 1.0
+
+    def __post_init__(self) -> None:
+        bad = {k: v for k, v in self.a_per_class.items() if not 0 < v < math.inf}
+        if bad or not 0 < self.a_default < math.inf:
+            raise InvalidSpec(f"every a must be finite and > 0, got {bad or self.a_default}")
+
+    def a_for(self, cls: str | None) -> float:
+        if cls is None:
+            return self.a_default
+        return self.a_per_class.get(cls, self.a_default)
 
 
 @dataclass
@@ -45,8 +169,8 @@ class RunConfig:
     y_max: float = DEFAULT_RANGE.y_max
     h: int = DEFAULT_RANGE.h
     w: int = DEFAULT_RANGE.w
-    z_min: float = SceneSpec.z_min
-    z_max: float = SceneSpec.z_max
+    z_min: float = DEFAULT_Z_MIN
+    z_max: float = DEFAULT_Z_MAX
     alpha_max: float = RasterSettings.alpha_max
     alpha_min: float = RasterSettings.alpha_min
     t_min: float = RasterSettings.t_min
@@ -93,7 +217,7 @@ class RunConfig:
 #: BEV extent + resolution bundles for the two evaluation settings.
 PRESETS = {
     "vod": dict(
-        dataclasses.asdict(DEFAULT_RANGE), z_min=SceneSpec.z_min, z_max=SceneSpec.z_max
+        dataclasses.asdict(DEFAULT_RANGE), z_min=DEFAULT_Z_MIN, z_max=DEFAULT_Z_MAX
     ),
     "tj4d": dict(
         x_min=0.0, x_max=69.12, y_min=-39.68, y_max=39.68, h=432, w=496,
@@ -129,6 +253,17 @@ def _coerce(key: str, kind: type, value: str):
         raise InvalidSpec(f"config key {key!r}: bad value {value!r}") from None
 
 
+def _class_name(key: str) -> str:
+    """The class of an ``a_<class>`` key, if ``dump_config`` can write it
+    back as one UTF-8 config line that parses to the same key."""
+    cls = key[2:]
+    one_line = cls == cls.strip() and "=" not in cls and len(cls.splitlines()) == 1
+    if not one_line or any("\ud800" <= ch <= "\udfff" for ch in cls):
+        raise InvalidSpec(f"config key {key!r}: a class name must be one line of UTF-8 text "
+                          "without '=' or surrounding blanks")
+    return cls
+
+
 def apply_updates(cfg: RunConfig, raw: dict) -> RunConfig:
     """Return a copy of ``cfg`` with the raw string map applied on top."""
     updates = {}
@@ -137,7 +272,7 @@ def apply_updates(cfg: RunConfig, raw: dict) -> RunConfig:
         if key in _KEY_TYPES:
             updates[key] = _coerce(key, _KEY_TYPES[key], value)
         elif key.startswith("a_") and len(key) > 2:
-            per_class[key[2:]] = _coerce(key, float, value)
+            per_class[_class_name(key)] = _coerce(key, float, value)
         else:
             raise InvalidSpec(f"unknown config key {key!r}")
     return dataclasses.replace(cfg, a_per_class=per_class, **updates)

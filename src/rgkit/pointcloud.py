@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the settings live in config; BevRange and DEFAULT_RANGE stay importable from here
+from .config import DEFAULT_RANGE, DEFAULT_Z_MAX, DEFAULT_Z_MIN, BevRange
 from .errors import AllocationLimit, FormatError, InvalidSpec, ShapeMismatch
 from .rng import SplitMix64, boxmuller, stream_seed
 
@@ -86,45 +88,6 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class BevRange:
-    """Ground-plane extent in meters plus its pixel resolution.
-
-    ``w`` counts columns and spans the x axis; ``h`` counts rows and spans
-    the y axis.  Values exactly on the boundary are considered inside.
-    """
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    h: int
-    w: int
-
-    def __post_init__(self) -> None:
-        extents = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(math.isfinite(v) for v in extents):
-            raise InvalidSpec(f"BEV extents must be finite, got {extents}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise InvalidSpec(f"BEV extents must have positive span, got {extents}")
-        if self.h < 1 or self.w < 1:
-            raise InvalidSpec(f"BEV resolution must be >= 1, got h={self.h}, w={self.w}")
-
-    @property
-    def px_per_m_x(self) -> float:
-        """Columns per meter along x."""
-        return self.w / (self.x_max - self.x_min)
-
-    @property
-    def px_per_m_y(self) -> float:
-        """Rows per meter along y."""
-        return self.h / (self.y_max - self.y_min)
-
-
-#: Default desk-scale extent: 51.2 m x 51.2 m at 0.16 m per pixel.
-DEFAULT_RANGE = BevRange(x_min=0.0, x_max=51.2, y_min=-25.6, y_max=25.6, h=320, w=320)
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     """Deterministic recipe for a synthetic clustered radar scene."""
 
@@ -134,8 +97,8 @@ class SceneSpec:
     n_clusters: int = 8
     cluster_sigma: float = 1.0
     bev: BevRange = DEFAULT_RANGE
-    z_min: float = -3.0
-    z_max: float = 2.0
+    z_min: float = DEFAULT_Z_MIN
+    z_max: float = DEFAULT_Z_MAX
 
     def __post_init__(self) -> None:
         if self.n_points < 0:

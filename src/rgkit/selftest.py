@@ -17,16 +17,10 @@ import time
 import numpy as np
 
 from . import aggregation, boxloss, rng, splat
-from .config import RunConfig, apply_updates, dump_config, parse_config_text
+from .config import (BevRange, RasterSettings, RunConfig, apply_updates, dump_config,
+                     parse_config_text)
 from .geom import mat3_inverse, quat_normalize, quat_to_rotmat
-from .pointcloud import (
-    BevRange,
-    PointCloud,
-    SceneSpec,
-    generate_scene,
-    read_cloud,
-    write_cloud,
-)
+from .pointcloud import PointCloud, SceneSpec, generate_scene, read_cloud, write_cloud
 
 
 def _check_rng_trace() -> None:
@@ -130,7 +124,7 @@ def _check_predicted_attributes() -> None:
 def _check_raster_oracle() -> None:
     bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)
     splats = _random_splats(seed=8, count=80, bev=bev)
-    settings = splat.RasterSettings(t_min=0.0)
+    settings = RasterSettings(t_min=0.0)
     tiled = splat.rasterize(splats, bev, channels=3, settings=settings)
     oracle = splat.rasterize_oracle(splats, bev, channels=3, settings=settings)
     diff = float(np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64))))
@@ -164,7 +158,7 @@ def _check_blend_analytic() -> None:
     prim = aggregation.GaussianPrimitive3D(
         mean=np.array([8.5, 0.5, 0.0]), scales=np.array([0.5, 0.5, 0.5]),
         quat=np.array([1.0, 0.0, 0.0, 0.0]), opacity=1.0, features=feats)
-    settings = splat.RasterSettings(t_min=0.0, lambda_blur=0.0)
+    settings = RasterSettings(t_min=0.0, lambda_blur=0.0)
     one = splat.rasterize([splat.project_to_bev(prim, bev, lambda_blur=0.0)], bev,
                           channels=1, settings=settings)
     got = float(one.data[0, 8, 8])

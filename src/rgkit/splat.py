@@ -76,20 +76,20 @@ within a channel.  A single channel can also be exported as a binary
 
 from __future__ import annotations
 
-import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import (
-    DEFAULT_MEM_CAP,
     GaussianPrimitive3D,
     PgeParams,
     gfa,
     lfa_index_scatter,
     predict_attribute_arrays,
 )
+from .config import BLEND_ORDERS, DEFAULT_MEM_CAP, BevRange, RasterSettings
 from .errors import (
     AllocationLimit,
     FormatError,
@@ -99,11 +99,10 @@ from .errors import (
     SingularCovariance,
 )
 from .geom import DET_EPS, quat_normalize
-from .pointcloud import BevRange, PointCloud
+from .pointcloud import PointCloud
 
 Array = np.ndarray
 
-BLEND_ORDERS = ("z-asc", "z-desc", "index")
 #: Transient bytes per (splat, tile) candidate while binning tests it.
 BIN_CANDIDATE_BYTES = 300
 #: Largest block of binning's candidates or of one pixel group's blend
@@ -117,37 +116,6 @@ MAX_MAP_BYTES = 1 << 30
 _MAGIC = b"RGFM"
 _VERSION = 1
 _HEADER = struct.Struct("<IIII4d")  # version, C, H, W, x_min, x_max, y_min, y_max
-
-
-@dataclass(frozen=True)
-class RasterSettings:
-    """Thresholds and scheduling knobs of the rasterizer."""
-
-    alpha_max: float = 0.99
-    alpha_min: float = 1.0 / 255.0
-    t_min: float = 1e-4
-    lambda_blur: float = 0.3
-    tile_size: int = 16
-    blend_order: str = "z-asc"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_max <= 1.0:
-            raise InvalidSpec(f"alpha_max must be in (0, 1], got {self.alpha_max}")
-        if not 0.0 < self.alpha_min < 1.0:
-            raise InvalidSpec(
-                f"alpha_min must be in (0, 1) so footprints are finite, "
-                f"got {self.alpha_min}"
-            )
-        if not (math.isfinite(self.lambda_blur) and self.lambda_blur >= 0):
-            raise InvalidSpec(f"lambda_blur must be finite and >= 0, got {self.lambda_blur}")
-        if not (math.isfinite(self.t_min) and self.t_min < 1.0):
-            raise InvalidSpec(f"t_min must be finite and < 1 (<= 0 disables), got {self.t_min}")
-        if self.tile_size < 1:
-            raise InvalidSpec(f"tile_size must be >= 1, got {self.tile_size}")
-        if self.blend_order not in BLEND_ORDERS:
-            raise InvalidSpec(
-                f"blend_order must be one of {BLEND_ORDERS}, got {self.blend_order!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -613,25 +581,31 @@ def write_feature_map(fmap: BevFeatureMap, path) -> None:
 
 
 def read_feature_map(path) -> BevFeatureMap:
-    """Read an ``RGFM`` file written by :func:`write_feature_map`."""
+    """Read an ``RGFM`` file written by :func:`write_feature_map`.
+
+    The payload is read straight into the map, after its size is checked
+    against the file's, so reading holds the map once.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise FormatError("not an RGFM feature-map file (bad magic)")
-    if len(blob) < 4 + _HEADER.size:
-        raise FormatError("RGFM file truncated inside the header")
-    version, c, h, w, x_min, x_max, y_min, y_max = _HEADER.unpack_from(blob, 4)
-    if version != _VERSION:
-        raise FormatError(f"unsupported RGFM version {version}")
-    payload = len(blob) - 4 - _HEADER.size
-    if payload != 4 * c * h * w:
-        raise FormatError(f"RGFM payload is {payload} bytes, expected {4 * c * h * w}")
-    bev = BevRange(x_min, x_max, y_min, y_max, h, w)
-    # with C = 0 the payload does not bound H x W
-    if 4 * h * w > np.iinfo(np.intp).max:
-        raise FormatError(f"an RGFM plane of {h} x {w} float32 values is too large for an array")
-    data = np.frombuffer(blob, dtype="<f4", offset=4 + _HEADER.size).reshape(c, h, w)
-    return BevFeatureMap(data.copy(), bev)
+        head = fh.read(4 + _HEADER.size)
+        if head[:4] != _MAGIC:
+            raise FormatError("not an RGFM feature-map file (bad magic)")
+        if len(head) < 4 + _HEADER.size:
+            raise FormatError("RGFM file truncated inside the header")
+        version, c, h, w, x_min, x_max, y_min, y_max = _HEADER.unpack_from(head, 4)
+        if version != _VERSION:
+            raise FormatError(f"unsupported RGFM version {version}")
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+        if payload != 4 * c * h * w:
+            raise FormatError(f"RGFM payload is {payload} bytes, expected {4 * c * h * w}")
+        bev = BevRange(x_min, x_max, y_min, y_max, h, w)
+        # with C = 0 the payload does not bound H x W
+        if 4 * h * w > np.iinfo(np.intp).max:
+            raise FormatError(f"an RGFM plane of {h} x {w} float32 values is too large for an array")
+        data = np.empty((c, h, w), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError("RGFM file truncated inside the payload")
+    return BevFeatureMap(data, bev)
 
 
 def write_pgm(fmap: BevFeatureMap, channel: int, path) -> None:

@@ -1,8 +1,10 @@
 """Local/global aggregation: hand examples, brute-force neighbor oracle,
-cross-implementation equivalence, attribute head, weight I/O."""
+cross-implementation equivalence, attribute head, weight I/O; what a
+fresh process loads through the package namespace."""
 
 import dataclasses
 import hashlib
+import importlib
 import math
 import os
 import struct
@@ -241,9 +243,9 @@ def test_neighbor_index_matches_bruteforce(case):
     assert np.all(index.counts() >= 1)  # self pair guarantees nonzero rows
 
 
-def _scipy_modules_after(code: str) -> list:
-    """The scipy modules loaded in a fresh interpreter that runs ``code``."""
-    code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _modules_after(code: str) -> list:
+    """The scipy and rgkit modules loaded in a fresh interpreter that runs ``code``."""
+    code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'rgkit')))"
     src = str(Path(rgkit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", "import sys; " + code],
                          env={**os.environ, "PYTHONPATH": src},
@@ -251,16 +253,83 @@ def _scipy_modules_after(code: str) -> list:
     return out.stdout.split()
 
 
+def _scipy(modules: list) -> list:
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+#: modules of the encoder side, which the loss never needs
+ENCODER_MODULES = {f"rgkit.{name}" for name in
+                   ("aggregation", "splat", "pointcloud", "special", "rng", "bench", "selftest")}
+
+
 def test_importing_rgkit_loads_no_scipy_module():
-    assert _scipy_modules_after("import rgkit") == []
+    # nor any rgkit module: each loads on first use of a name it defines
+    assert _modules_after("import rgkit") == ["rgkit"]
 
 
 def test_encode_loads_no_scipy_module():
     # the neighbour search is a NumPy cell list and gelu a NumPy erf
-    assert _scipy_modules_after(
+    assert _scipy(_modules_after(
         "import rgkit; from rgkit.pointcloud import SceneSpec, generate_scene; "
         "rgkit.encode(generate_scene(SceneSpec(seed=0, n_points=60)), rgkit.init_weights(0, c=8), "
-        "rgkit.BevRange(0.0, 51.2, -25.6, 25.6, 64, 64))") == []
+        "rgkit.BevRange(0.0, 51.2, -25.6, 25.6, 64, 64))")) == []
+
+
+def test_box_loss_through_the_namespace_loads_no_encoder_module():
+    loaded = _modules_after(
+        "import rgkit; cfg = rgkit.RunConfig().validate().bgl_config(); "
+        "box = rgkit.Box3D(0.0, 0.0, 0.0, 4.0, 2.0, 1.5, 0.1); "
+        "rgkit.bgl([box], [box], ['car'], cfg)")
+    assert _scipy(loaded) == [] and "rgkit.boxloss" in loaded
+    assert ENCODER_MODULES.isdisjoint(loaded), loaded
+
+
+PUBLIC_NAMES = [
+    "AllocationLimit", "AttentionBlock", "BenchReport", "BenchRow", "BevFeatureMap", "BevRange",
+    "BglConfig", "Box3D", "DegenerateQuaternion", "EmptyBatch", "FormatError",
+    "GaussianDistribution3D", "GaussianPrimitive3D", "InvalidSpec", "KlComponents",
+    "LayerNormParams", "LengthMismatch", "LinearLayer", "NeighborIndex", "NonPositiveScale",
+    "PRESETS", "PgeParams", "PointCloud", "RasterSettings", "RgkError", "RunConfig", "SceneSpec",
+    "ShapeMismatch", "SingularCovariance", "SingularMatrix", "Splat2D", "SplitMix64",
+    "__version__", "apply_preset", "apply_updates", "bgl", "bgl_gradient", "box_to_gaussian",
+    "build_neighbor_index", "dump_config", "encode", "fd_gradient", "fnv1a64", "generate_scene",
+    "gfa", "init_weights", "kl_divergence", "lfa_broadcast_mask", "lfa_index_scatter",
+    "lfa_traversal", "load_config", "load_weights", "mix64", "nonzero_pixels",
+    "parse_config_text", "pillar_scatter", "predict_attributes", "project_to_bev", "rasterize",
+    "rasterize_oracle", "read_boxes", "read_cloud", "read_feature_map", "run_bench",
+    "run_selftest", "save_weights", "stream_seed", "write_boxes", "write_cloud",
+    "write_feature_map", "write_pgm",
+]
+
+
+def test_namespace_exports_each_name_from_its_defining_module():
+    assert sorted(rgkit.__all__) == PUBLIC_NAMES
+    assert dir(rgkit) == PUBLIC_NAMES
+    for name in rgkit.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(rgkit, name)
+        home = "rgkit.config" if name == "PRESETS" else value.__module__
+        assert home.startswith("rgkit.")
+        assert getattr(importlib.import_module(home), name) is value, name
+        assert vars(rgkit)[name] is value  # cached: the next lookup is a plain read
+    # the settings types moved to config keep their old import paths
+    from rgkit import boxloss, config, pointcloud, splat
+    assert pointcloud.BevRange is splat.BevRange is config.BevRange is rgkit.BevRange
+    assert splat.RasterSettings is config.RasterSettings
+    assert boxloss.BglConfig is config.BglConfig
+    assert pointcloud.DEFAULT_RANGE is config.DEFAULT_RANGE
+    assert boxloss.DEFAULT_A_PER_CLASS is config.DEFAULT_A_PER_CLASS
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from rgkit import *", namespace)
+    assert set(rgkit.__all__) <= set(namespace)
+    assert namespace["encode"] is rgkit.encode
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rgkit.no_such_name
+    assert not hasattr(rgkit, "Array")  # a module global, not a public name
 
 
 def test_broadcast_respects_memory_cap():

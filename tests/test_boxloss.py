@@ -1,6 +1,7 @@
 """Box-to-Gaussian conversion, KL divergence exactness and invariances,
 analytic gradients against finite differences, and box file I/O."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -94,6 +95,25 @@ def test_conversion_rejects_bad_sharpness_and_degenerate_dims():
 def test_box_requires_finite_values():
     with pytest.raises(InvalidSpec):
         Box3D(0, 0, 0, 1, 1, float("inf"), 0)
+
+
+def test_box_is_slotted_frozen_and_finite():
+    # a batch holds thousands of boxes: no per-box __dict__
+    box = Box3D(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+    assert not hasattr(box, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box.x = 0.0
+    # a new name: AttributeError, or TypeError where dataclasses' frozen
+    # __setattr__ calls super() with the class that slots=True replaced (3.10, 3.11)
+    with pytest.raises((AttributeError, TypeError)):
+        box.extra = 1.0
+    for i, bad in enumerate((float("nan"), float("inf"), -float("inf")) * 3):
+        args = [1.0] * 7
+        args[i % 7] = bad
+        with pytest.raises(InvalidSpec):
+            Box3D(*args)
+    assert box == Box3D(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+    assert box.as_array().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, configuration precedence, output
 determinism, and the config dump round trip."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import struct
@@ -18,6 +20,7 @@ from rgkit.boxloss import (DEFAULT_A_PER_CLASS, BglConfig, Box3D, bgl, box_to_ga
                            kl_divergence, write_boxes)
 from rgkit.cli import main
 from rgkit.config import RunConfig, apply_preset, apply_updates, dump_config, parse_config_text
+from rgkit.errors import InvalidSpec
 from rgkit.pointcloud import DEFAULT_RANGE, read_cloud
 from rgkit.splat import RasterSettings, read_feature_map
 
@@ -362,6 +365,23 @@ def test_malformed_set_fails(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["a_x\ny", "a_x\ry", "a_x\x85y", "a_x\u2028y", "a_x ", "a_x=y",
+                                 "a_\udcff"])
+def test_class_name_a_config_line_cannot_hold_exits_2(key, capsys):
+    # --dump-config wrote such a class as a line that parsed back to another
+    # config or failed to parse; a lone surrogate (what undecodable argv bytes
+    # give) raised UnicodeEncodeError with a traceback on a UTF-8 stdout
+    with pytest.raises(InvalidSpec, match="class name"):
+        apply_updates(RunConfig(), {key: "1"})
+    if key != key.strip() or "=" in key:
+        return  # --set strips the key and splits at the first '='
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(stdout):
+        code = main(["bgl", "--pred", "p", "--gt", "g", f"--set={key}=1", "--dump-config"])
+    assert code == 2
+    assert "class name" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench
 
@@ -512,15 +532,26 @@ def test_bgl_grad_check_counts_nan_as_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_bgl_loads_no_scipy_module(tmp_path):
-    # no runtime module imports SciPy; a loss-only process must not pay its import
+    # no runtime module imports SciPy, and neither --dump-config nor rgk bgl
+    # loads an encoder module: a loss-only process must not pay their import
     pred, gt = _write_box_pair(tmp_path)
+    report = ("print('loaded', code, *sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'rgkit')))")
     code = ("import sys; from rgkit.cli import main; "
+            "code = main(['encode', '--cloud', 'c', '--out', 'm', '--preset', 'tj4d', "
+            f"'--dump-config']); {report}; "
             f"code = main(['bgl', '--pred', {str(pred)!r}, '--gt', {str(gt)!r}, '--grad-check']); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"{report}")
     src = str(Path(rgkit.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    reports = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("loaded ")]
+    encoder = {f"rgkit.{name}" for name in
+               ("aggregation", "splat", "pointcloud", "special", "rng", "bench", "selftest")}
+    assert len(reports) == 2
+    for status, *modules in reports:
+        assert status == "0" and "rgkit.config" in modules
+        assert not [m for m in modules if m.split(".")[0] == "scipy" or m in encoder], modules
 
 
 def test_bgl_non_utf8_box_file_exits_2(tmp_path, capsys):

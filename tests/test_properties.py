@@ -4,7 +4,10 @@ result, ``load_weights`` returns a parameter set, ``read_cloud`` a valid
 cloud, or they raise a typed ``RgkError``, and ``rgk bgl``, ``rgk encode``,
 ``rgk generate`` and ``rgk bench-lfa`` exit 0, 2, 3 or 4, never 1, also
 at sizes far past their allocation caps; ``read_feature_map`` returns a
-map of the stated shape or raises a typed ``RgkError``.  A leaked NumPy
+map of the stated shape or raises a typed ``RgkError``.  Config text,
+``--set`` values and config files give a ``RunConfig`` whose dump parses
+back to it, or a typed ``RgkError`` (``rgk ... --dump-config`` exits 0, 2
+or 3).  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
 around cell boundaries."""
@@ -29,6 +32,7 @@ from rgkit.aggregation import (
 )
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
+from rgkit.config import RunConfig, apply_updates, dump_config, load_config, parse_config_text
 from rgkit.errors import RgkError
 from rgkit.pointcloud import BevRange, PointCloud, read_cloud
 from rgkit.splat import (
@@ -444,3 +448,114 @@ def test_rgk_encode_exits_0_2_3_or_4_at_any_map_size(h, w, c, tile_size):
                            "--set", f"h={h}", "--set", f"w={w}", "--set", f"c={c}",
                            "--set", f"tile_size={tile_size}"])
     assert code == (3 if max(h, w, c) > 2 ** 19 or 4 * c * h * w > MAX_MAP_BYTES else 0)
+
+
+#: scalar keys (with their canonical dump order), per-class keys, unknown
+#: ones and any text, line breaks, "=" and lone surrogates included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+config_keys = st.one_of(
+    st.sampled_from([*(line.split(" = ")[0] for line in dump_config(RunConfig()).splitlines()),
+                     "a_bus", "a_", "lambda", "R", "#r", "", "a_x\ny", "a_x\x85y", "a_x ",
+                     "a_\udcff"]),
+    _ANY_TEXT.map(lambda text: "a_" + text),
+    _ANY_TEXT,
+)
+#: numbers of every kind, non-numeric text, NaN, +-inf, past 2^64
+config_values = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "1e-3", "nan", "-NaN", "inf", "-inf", "Infinity",
+                     "1e999", "-1e999", str(2 ** 64), str(2 ** 64 + 1), str(-2 ** 70), "1_000",
+                     "0x10", "1" * 5000, "", "abc", "z-asc", "index", "8.0"]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    _ANY_TEXT,
+)
+config_lines = st.one_of(
+    st.tuples(config_keys, config_values).map(" = ".join),
+    st.sampled_from(["", "  ", "# comment", "no equals sign", "=", "r = 0.5 = 1"]),
+    _ANY_TEXT,
+)
+
+
+def _assert_dump_round_trips(cfg: RunConfig) -> str:
+    """``cfg`` validates, and its dump is UTF-8 text that parses back to it."""
+    text = dump_config(cfg.validate())
+    text.encode("utf-8")
+    back = apply_updates(RunConfig(), parse_config_text(text))
+    assert back == cfg and dump_config(back) == text
+    return text
+
+
+@_SETTINGS
+@given(st.lists(config_lines, max_size=8), st.dictionaries(config_keys, config_values, max_size=6))
+# class names that --dump-config wrote as lines that parse back to another
+# config, or not at all, or that a UTF-8 stream cannot encode
+@example(["a_x = 1"], {"a_x\ny": "2"})
+@example([], {"a_x ": "1", "a_x=y": "1"})
+@example([], {"a_\udcff": "1"})
+def test_config_text_and_updates_give_a_config_or_a_typed_error(lines, updates):
+    try:
+        parse_config_text("\n".join(lines))
+    except RgkError:
+        pass
+    # one line or update at a time, so the accepted ones build up a config
+    cfg = RunConfig()
+    for step in [*lines, *updates.items()]:
+        try:
+            raw = parse_config_text(step) if isinstance(step, str) else dict([step])
+            cfg = apply_updates(cfg, raw).validate()
+        except RgkError:
+            pass
+    _assert_dump_round_trips(cfg)
+
+
+#: UTF-8 config files, raw bytes and files that are UTF-8 but for one byte
+config_files = st.one_of(
+    st.lists(config_lines.filter(lambda line: not any("\ud800" <= ch <= "\udfff" for ch in line)),
+             max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.binary(max_size=48),
+    st.tuples(st.lists(config_lines, max_size=4),
+              st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+    .map(lambda t: "\n".join(t[0]).encode("utf-8", "surrogatepass") + t[1]),
+    st.just("\ufeffr = 0.5\n".encode("utf-8")),
+)
+
+
+@_SETTINGS
+@given(config_files)
+def test_config_files_load_to_a_config_or_a_typed_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(blob)
+        try:
+            cfg = load_config(path).validate()
+        except RgkError:
+            return
+    _assert_dump_round_trips(cfg)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_files, st.lists(st.one_of(st.tuples(config_keys, config_values).map("=".join),
+                                        _ANY_TEXT), max_size=4),
+       st.sampled_from(["encode", "bgl", "generate"]))
+@example(b"", ["a_x\x85y=1"], "bgl")
+@example(b"a_car = 2\n", ["a_\udcff=1"], "encode")
+def test_rgk_dump_config_exits_0_2_or_3_and_prints_a_config_that_parses_back(blob, sets, command):
+    # stdout is strict UTF-8, as on a UTF-8 terminal or pipe
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(blob)
+        args = {"encode": ["--cloud", "c", "--out", "m"], "bgl": ["--pred", "p", "--gt", "g"],
+                "generate": ["--out", "s", "--n", "1"]}[command]
+        argv = [command, *args, "--config", str(path), *(f"--set={item}" for item in sets),
+                "--dump-config"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ")
+        return
+    out.seek(0)
+    text = out.read()
+    assert _assert_dump_round_trips(apply_updates(RunConfig(), parse_config_text(text))) == text

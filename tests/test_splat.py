@@ -821,6 +821,34 @@ def test_feature_map_roundtrip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_reading_a_feature_map_holds_it_once(tmp_path):
+    # the whole file used to be read as bytes and its payload then copied
+    # into the map: reading a 4 MiB map traced 8 MiB
+    data = np.arange(16 * 256 * 256, dtype=np.float32).reshape(16, 256, 256)
+    path = tmp_path / "m.rgfm"
+    write_feature_map(BevFeatureMap(data, BevRange(0.0, 51.2, -25.6, 25.6, 256, 256)), path)
+    tracemalloc.start()
+    try:
+        back = read_feature_map(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, data)
+    assert peak < data.nbytes + (1 << 20)
+
+
+def test_feature_map_cut_after_its_size_was_read_is_truncated(tmp_path, monkeypatch):
+    # the size comes from fstat; a file cut before the payload is read gives a short read
+    path = tmp_path / "m.rgfm"
+    write_feature_map(BevFeatureMap(np.ones((1, 4, 4), dtype=np.float32),
+                                    BevRange(0.0, 4.0, 0.0, 4.0, 4, 4)), path)
+    full = path.stat()
+    path.write_bytes(path.read_bytes()[:-8])
+    monkeypatch.setattr("rgkit.splat.os.fstat", lambda fd: full)
+    with pytest.raises(FormatError, match="truncated"):
+        read_feature_map(path)
+
+
 def test_feature_map_rejects_malformed(tmp_path):
     bev = BevRange(0.0, 4.0, 0.0, 4.0, 4, 4)
     path = tmp_path / "m.rgfm"
