@@ -122,13 +122,13 @@ def cmd_encode(args) -> int:
     fmap = encode(cloud, params, cfg.bev(), cfg.raster_settings(), mem_cap=cfg.mem_cap)
     write_feature_map(fmap, args.out)
     print(f"wrote {args.out} (channels={fmap.channels}, h={cfg.h}, w={cfg.w})")
-    print(f"nonzero_pixels = {nonzero_pixels(fmap)}")
+    dense_nz = nonzero_pixels(fmap)
+    print(f"nonzero_pixels = {dense_nz}")
     if args.pgm:
         write_pgm(fmap, args.pgm_channel, args.pgm)
         print(f"wrote {args.pgm} (channel {args.pgm_channel})")
     if args.compare_pillar:
         pillar_nz = nonzero_pixels(pillar_scatter(cloud, cfg.bev()))
-        dense_nz = nonzero_pixels(fmap)
         print(f"pillar_nonzero = {pillar_nz}")
         ratio = dense_nz / pillar_nz if pillar_nz else float("inf")
         print(f"density_ratio = {_fmt(ratio)}")

@@ -85,6 +85,8 @@ class BevRange:
             raise InvalidSpec(f"BEV extents must be finite, got {extents}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise InvalidSpec(f"BEV extents must have positive span, got {extents}")
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.y_max - self.y_min)):
+            raise InvalidSpec(f"BEV extents must have a finite span, got {extents}")
         if self.h < 1 or self.w < 1:
             raise InvalidSpec(f"BEV resolution must be >= 1, got h={self.h}, w={self.w}")
 

@@ -52,6 +52,17 @@ all the tile's rows and sums the rows live in it, so each pixel adds the
 same rows in the same order in any group and no map byte depends on the
 group size.
 
+The map is a private anonymous mapping in 4 KiB pages (``np.zeros`` where
+the platform has no ``MAP_PRIVATE``, and at zero bytes).  Radar maps are
+sparse: on a ``tj4d`` frame fewer than half of the map's pages hold a
+nonzero value, and only the pages that compositing stores into become
+resident (NumPy advises huge pages on its own arrays of 4 MB and more, so
+an ``np.zeros`` map is resident whole once touched).  After the last pixel
+group, one ``madvise(MADV_POPULATE_READ)`` (Linux 5.14+) maps every
+untouched page to the kernel's shared zero page, which is not counted as
+resident, so reading the map to write it takes no page faults.  Populating
+at allocation instead would turn every store into a copy-on-write fault.
+
 :func:`encode` runs on arrays, one kernel per stage: the head's scales,
 unit quaternions and features; projection to means (N, 2) and ``cov2d``
 and its adjugate inverse as (N, 3), the top-left 2 x 2 of Sigma summed
@@ -76,8 +87,10 @@ within a channel.  A single channel can also be exported as a binary
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +125,8 @@ BLOCK_BYTES = 1 << 20
 #: ``mem_cap``, which bounds the per-stage buffers and may be far smaller
 #: than any map.
 MAX_MAP_BYTES = 1 << 30
+#: ``MADV_POPULATE_READ`` (Linux 5.14+), which the ``mmap`` module does not name.
+_MADV_POPULATE_READ = getattr(mmap, "MADV_POPULATE_READ", 22)
 
 _MAGIC = b"RGFM"
 _VERSION = 1
@@ -240,12 +255,30 @@ def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
 
 
 def _zero_map(channels: int, bev: BevRange) -> Array:
-    """A zero C x H x W float32 map, refused past :data:`MAX_MAP_BYTES`."""
+    """A zero C x H x W float32 map, refused past :data:`MAX_MAP_BYTES`: a
+    private anonymous mapping, so only the pages written become resident."""
     need = 4 * channels * bev.h * bev.w
     if need > MAX_MAP_BYTES:
         raise AllocationLimit(f"a {channels} x {bev.h} x {bev.w} float32 map needs {need} "
                               f"bytes, cap is {MAX_MAP_BYTES}")
-    return np.zeros((channels, bev.h, bev.w), dtype=np.float32)
+    shape = (channels, bev.h, bev.w)
+    if need == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype=np.float32)
+    # MAP_PRIVATE: the default shared mapping is shmem, whose populated
+    # holes would be real pages
+    buf = mmap.mmap(-1, need, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.ndarray(shape, dtype=np.float32, buffer=buf)
+
+
+def _fill_holes(out: Array) -> None:
+    """Back the pages of a :func:`_zero_map` map that nothing wrote with the
+    shared zero page, which costs no RSS and spares a later read its faults.
+    A kernel without ``MADV_POPULATE_READ`` leaves the map as it is."""
+    if sys.platform.startswith("linux") and isinstance(out.base, mmap.mmap):
+        try:
+            out.base.madvise(_MADV_POPULATE_READ)
+        except OSError:
+            pass
 
 
 def _tile_size(bev: BevRange, settings: RasterSettings) -> int:
@@ -442,6 +475,7 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                 acc = _blend_pixels(idx, np.arange(g0, g1), np.arange(h0, h1), mean2d, inv,
                                     opacity, feats32, settings, bufs)
                 out[:, g0:g1, h0:h1] = acc.reshape(-1, g1 - g0, h1 - h0)
+    _fill_holes(out)
     return BevFeatureMap(out, bev)
 
 
@@ -556,8 +590,9 @@ def pillar_scatter(cloud: PointCloud, bev: BevRange) -> BevFeatureMap:
 
 
 def nonzero_pixels(fmap: BevFeatureMap) -> int:
-    """Number of pixels with a nonzero value in any channel."""
-    return int(np.count_nonzero(np.any(fmap.data != 0, axis=0)))
+    """Number of pixels with a nonzero value (NaN included) in any channel,
+    reduced over channels without a C x H x W temporary."""
+    return int(np.count_nonzero(np.any(fmap.data, axis=0)))
 
 
 def write_feature_map(fmap: BevFeatureMap, path) -> None:

@@ -181,6 +181,16 @@ def test_encode_out_of_range_setting_exits_2(tmp_path, small_cloud, capsys, sett
     assert "error: InvalidSpec" in capsys.readouterr().err
 
 
+def test_encode_infinite_extent_span_exits_2(tmp_path, capsys):
+    # x_max - x_min overflows to inf, so px_per_m_x was 0 and every splat sat on
+    # the map's edge: exit 0 with a degenerate map
+    cloud = _write_csv_cloud(tmp_path / "two.csv", ["1,1,0,1", "2,-1,0,1"])
+    out = tmp_path / "m.rgfm"
+    assert main(["encode", "--cloud", str(cloud), "--out", str(out), "--set", "x_min=-1e308",
+                 "--set", "x_max=1e308", "--set", "h=8", "--set", "w=8", "--set", "c=4"]) == 2
+    assert "error: InvalidSpec" in capsys.readouterr().err and not out.exists()
+
+
 def test_encode_huge_coordinate_is_culled(tmp_path):
     # at 6.25 px per meter the far point projects to an infinite pixel position
     cloud = _write_csv_cloud(tmp_path / "far.csv", ["1,1,0,1", "1e308,0,0,1"])

@@ -63,6 +63,14 @@ def test_bev_range_validation_and_density():
         BevRange(0.0, float("inf"), 0.0, 2.0, 8, 8)
 
 
+@pytest.mark.parametrize("extents", [(-1e308, 1e308, 0.0, 2.0), (0.0, 2.0, -1e308, 1e308),
+                                     (-1.7e308, 1.7e308, -1.7e308, 1.7e308)])
+def test_bev_range_rejects_an_infinite_span(extents):
+    # finite extents whose span overflows gave 0 px per meter: a degenerate map
+    with pytest.raises(InvalidSpec, match="span"):
+        BevRange(*extents, 8, 8)
+
+
 def test_scene_spec_validation():
     with pytest.raises(InvalidSpec):
         SceneSpec(seed=0, n_points=-1)

@@ -375,6 +375,9 @@ def rgfm_files(draw):
 @given(rgfm_files())
 # zero channels of 2^31 x 2^31 values: a raw ValueError from the reshape
 @example(b"RGFM" + struct.pack("<IIII4d", 1, 0, 2 ** 31, 2 ** 31, 0.0, 1.0, 0.0, 1.0))
+# finite extents whose span is infinite: a map at 0 px per meter
+@example(b"RGFM" + struct.pack("<IIII4d", 1, 1, 1, 1, -1e308, 1e308, 0.0, 1.0) + bytes(4))
+@example(b"RGFM" + struct.pack("<IIII4d", 1, 1, 1, 1, 0.0, 1.0, -1e308, 1e308) + bytes(4))
 def test_feature_map_files_parse_to_a_map_or_a_typed_error(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.rgfm"
@@ -386,6 +389,8 @@ def test_feature_map_files_parse_to_a_map_or_a_typed_error(blob):
     c, h, w = struct.unpack_from("<III", blob, 8)
     assert isinstance(fmap, BevFeatureMap) and fmap.data.dtype == np.float32
     assert fmap.data.shape == (c, h, w) == (c, fmap.bev.h, fmap.bev.w)
+    assert math.isfinite(fmap.bev.x_max - fmap.bev.x_min)
+    assert math.isfinite(fmap.bev.y_max - fmap.bev.y_min)
     assert len(blob) == 4 + struct.calcsize("<IIII4d") + 4 * c * h * w
 
 

@@ -2,12 +2,18 @@
 pillar baseline, encoder determinism, and map file formats."""
 
 import math
+import mmap
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rgkit
 from rgkit.aggregation import (
     GaussianPrimitive3D,
     gfa,
@@ -338,10 +344,26 @@ def test_nonzero_pixels_counts_any_channel():
     data[0, 0, 0] = 1.0
     data[1, 0, 0] = 2.0  # same pixel, second channel
     data[1, 2, 2] = -1.0
+    data[0, 1, 1] = -0.0  # zero
+    data[1, 2, 0] = np.nan  # nonzero
     fmap = BevFeatureMap(data, BevRange(0, 3, 0, 3, 3, 3))
-    assert nonzero_pixels(fmap) == 2
+    assert nonzero_pixels(fmap) == 3
     bare = PointCloud([[1.0, 1.0, 0.0]], np.zeros((1, 0)))  # c_raw = 0
     assert nonzero_pixels(pillar_scatter(bare, BevRange(0, 3, 0, 3, 3, 3))) == 0
+
+
+def test_nonzero_pixels_builds_no_map_sized_temporary():
+    # `data != 0` used to build a C x H x W bool array (4 MiB here)
+    data = np.zeros((16, 512, 512), dtype=np.float32)
+    data[3, 7, 9] = data[15, 511, 0] = 1.0
+    fmap = BevFeatureMap(data, BevRange(0, 512, 0, 512, 512, 512))
+    tracemalloc.start()
+    try:
+        assert nonzero_pixels(fmap) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 512 * 512  # the H x W bool plane and some slack
 
 
 def test_feature_map_validation():
@@ -659,7 +681,8 @@ def test_binning_blocks_split_splats_and_keep_the_bytes():
 
 def test_binning_index_arrays_grow_with_the_hits_not_the_tiles():
     # two small splats on 4 M one-pixel tiles: binning used to build index
-    # arrays over every tile (84 MB traced besides the 16 MiB map)
+    # arrays over every tile (84 MB traced besides the 16 MiB map, which is
+    # a page mapping that tracemalloc does not see); ~50 kB are traced now
     bev = BevRange(0.0, 2048.0, -1024.0, 1024.0, 2048, 2048)
     cloud = PointCloud([[10.0, 0.0, 0.0], [1030.0, 5.0, 1.0]], [[1.0, 0.5], [-1.0, 2.0]])
     params = init_weights(0, c_raw=2, c=1)
@@ -670,7 +693,78 @@ def test_binning_index_arrays_grow_with_the_hits_not_the_tiles():
     finally:
         tracemalloc.stop()
     assert nonzero_pixels(fmap) > 0
-    assert peak < (16 << 20) + (2 << 20)
+    assert peak < 1 << 20
+
+
+def _populate_read_works() -> bool:
+    """Whether this is Linux with ``/proc/self/status`` and a kernel that
+    takes ``madvise(MADV_POPULATE_READ)`` (5.14+) on a private mapping."""
+    if not sys.platform.startswith("linux") or not os.path.exists("/proc/self/status"):
+        return False
+    buf = mmap.mmap(-1, mmap.PAGESIZE, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    try:
+        buf.madvise(22)
+    except OSError:
+        return False
+    finally:
+        buf.close()
+    return True
+
+
+#: A child that encodes two splats onto a 16 x 1024 x 1024 map (64 MiB) and
+#: writes it, and prints its peak RSS over its RSS before the encode, and the
+#: minor page faults of the write.
+_SPARSE_MAP_CHILD = """
+import resource, sys
+from rgkit.aggregation import init_weights
+from rgkit.config import BevRange
+from rgkit.pointcloud import PointCloud
+from rgkit.splat import encode, write_feature_map
+
+def vm(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith(key + ":"))
+
+cloud = PointCloud([[100.0, 100.0, 0.0], [900.0, 700.0, 1.0]], [[1.0, 0.5], [-1.0, 2.0]])
+params = init_weights(0, c_raw=2, c=16)
+write_feature_map(encode(cloud, params, BevRange(0.0, 1024.0, 0.0, 1024.0, 64, 64)), sys.argv[1])
+before = vm("VmRSS")
+fmap = encode(cloud, params, BevRange(0.0, 1024.0, 0.0, 1024.0, 1024, 1024))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+write_feature_map(fmap, sys.argv[1])
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(vm("VmHWM") - before, faults)
+"""
+
+
+@pytest.mark.skipif(not _populate_read_works(),
+                    reason="needs /proc/self/status and madvise(MADV_POPULATE_READ)")
+def test_a_sparse_map_keeps_only_its_touched_pages_resident(tmp_path):
+    # the map was a NumPy array advised huge pages: resident whole (+64 MiB)
+    # once the splats' tiles touched each channel's halves.  Now only the
+    # touched 4 KiB pages are (~2 MiB), and the holes, backed by the shared
+    # zero page, cost the write no page faults (~16 000 without them).
+    src = str(Path(rgkit.__file__).resolve().parents[1])
+    ran = subprocess.run([sys.executable, "-c", _SPARSE_MAP_CHILD, str(tmp_path / "m.rgfm")],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True)
+    grown, faults = map(int, ran.stdout.split())
+    assert grown < (64 << 20) // 4
+    assert faults < 256
+    data = read_feature_map(tmp_path / "m.rgfm").data
+    assert data.shape == (16, 1024, 1024) and 0 < np.count_nonzero(data) < data.size // 100
+
+
+def test_encode_map_is_the_same_without_a_page_mapping(monkeypatch):
+    # where mmap has no MAP_PRIVATE the map is np.zeros, with the same bytes
+    cloud = generate_scene(SceneSpec(seed=7, n_points=150))
+    params = init_weights(7, c_raw=4, c=16)
+    paged = encode(cloud, params, VOD).data
+    assert isinstance(paged.base, mmap.mmap)
+    monkeypatch.delattr(mmap, "MAP_PRIVATE")
+    plain = encode(cloud, params, VOD).data
+    assert plain.flags.owndata
+    _assert_same_bytes(paged, plain)
 
 
 def _composite_at(splats, bev, channels, settings, mem_cap):
