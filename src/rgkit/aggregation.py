@@ -77,7 +77,8 @@ CANDIDATE_BLOCK = 1 << 15
 #: Cell-list keys pack the (x, y, z) cell coordinates in 21-bit fields.
 _KEY_Y = 1 << 21
 _KEY_X = 1 << 42
-_CELL_CLIP = 1 << 19
+#: Cells are r (1 + 1e-9) wide within 2^_CELL_BITS cells of the median.
+_CELL_BITS = 19
 #: Key offsets of the cell columns (dx, dy) a point searches, all at dz = 0:
 #: its own, then the four forward ones, (0, 1), (1, -1), (1, 0) and (1, 1).
 _COLUMNS = (0, _KEY_Y, _KEY_X - _KEY_Y, _KEY_X, _KEY_X + _KEY_Y)
@@ -367,6 +368,12 @@ class NeighborIndex:
         return np.bincount(self.row_idx, minlength=self.n_points)
 
 
+def _cell_width(rel: Array) -> Array:
+    """Width of the cell at ``rel`` cell sides from the median: 1 within
+    2^_CELL_BITS of it, then a 2^-_CELL_BITS share of its power of two."""
+    return np.ldexp(1.0, np.maximum(np.frexp(rel)[1] - _CELL_BITS, 0))
+
+
 def _cell_ranges(pos: Array, r: float) -> tuple:
     """Cell list of the positions: the permutation that sorts the points by
     cell, and per point in that order the counts and first sorted positions
@@ -375,26 +382,41 @@ def _cell_ranges(pos: Array, r: float) -> tuple:
     A point's candidates are the points after it in its own cell and all
     points of its 13 forward neighbour cells, so each unordered candidate
     pair is proposed once."""
-    # Cells are cubes of side r (1 + 1e-9) counted from the per-axis median,
-    # a point of the cloud: an offset of the cloud moves no point to another
-    # cell, and one far outlier cannot push the rest past the clip into one
-    # cell, as it could from the minimum corner.  Why the candidates are a
-    # superset of the neighbours: a neighbour pair's offset is below
-    # r (1 + 3e-16) on every axis, since the kernel's squares are rounded.
-    # The relative cell coordinates are clipped to [-2^19, 2^19], and
-    # overflow to inf clips too; inside the clip, the subtraction and the
-    # division err by at most 2^19 2^-52 cells, far below the 1e-9 slack.
-    # Rounding and clipping are monotone and clipping never lengthens an
-    # offset, so the two cells of a neighbour pair differ by at most 1 on
-    # every axis.
+    # Cells are counted from the per-axis median, a point of the cloud: an
+    # offset of the cloud moves no point to another cell, and one far
+    # outlier cannot push the rest into one cell, as it could from the
+    # minimum corner.  Why the candidates are a superset of the neighbours:
+    # a neighbour pair's offset is below r (1 + 3e-16) on every axis, since
+    # the kernel's squares are rounded, so below 1 - 1e-9 cell sides.
+    # The subtraction and the division put a point's cell coordinate off by
+    # at most 2^-52 of its size.  Within 2^19 cells of the median cells are
+    # cubes of side r (1 + 1e-9): a pair there is off by under 2^-30 cells,
+    # which the 1e-9 slack covers.  Farther out the error grows with the
+    # distance, so a cell is 2^-19 of the coordinate's power of two wide:
+    # the error stays far below a cell, and no whole cell fits between the
+    # two points of a pair.  Overflow to inf gives one cell at each end.
+    # Rounding is monotone, so a neighbour pair's two cells are the same
+    # or next to each other.  Each axis then numbers its occupied cells in
+    # order, a cell that directly follows the one before 1 further and any
+    # other 2, so next cells stay next and the numbers stay below 2N.
     n = len(pos)
     with np.errstate(over="ignore"):
         rel = pos - np.partition(pos, n // 2, axis=0)[n // 2]
         rel /= r * (1 + 1e-9)
-    np.clip(rel, -_CELL_CLIP, _CELL_CLIP, out=rel)
-    # shifted to [1, 2^20 + 1], so a neighbour cell's coordinate never
-    # carries into the next field of the key
-    cell = np.floor(rel, out=rel).astype(np.int64) + (_CELL_CLIP + 1)
+    cell = np.empty((n, 3), dtype=np.int64)
+    for k in range(3):
+        # each point's cell by its lower edge: exact, and monotone
+        width = _cell_width(rel[:, k])
+        edge, of = np.unique(np.floor(rel[:, k] / width) * width, return_inverse=True)
+        # the cell after edge[i] starts at most width(edge[i]) later, and
+        # two edges that close differ exactly: both are multiples of it.
+        # The median's edge, 0, keeps every difference finite.
+        step = np.where(np.diff(edge) <= _cell_width(edge[:-1]), 1, 2)
+        num = np.concatenate([[0], np.cumsum(step)])
+        # past 2^20, dropping low bits merges neighbouring numbers, which
+        # keeps next cells next and leaves each field room for a +-1
+        shift = max(int(num[-1]).bit_length() - 20, 0)
+        cell[:, k] = (num[of] >> shift) + 1
     key = (cell[:, 0] * _KEY_X + cell[:, 1] * _KEY_Y) + cell[:, 2]
     order = np.argsort(key, kind="stable")
     key = key[order]

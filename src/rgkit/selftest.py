@@ -190,6 +190,24 @@ def _check_chunking_invariance() -> None:
         "map changes with one-pixel blend groups and one-candidate bin blocks")
 
 
+def _check_worker_invariance() -> None:
+    # hundreds of splats per tile: one worker and two must write the same
+    # bytes, the worker count being whatever the CPUs allow otherwise
+    bev = BevRange(0.0, 69.12, -39.68, 39.68, 432, 496)
+    cloud = generate_scene(SceneSpec(seed=17, n_points=1000, n_clusters=4, cluster_sigma=0.5,
+                                     bev=bev, z_min=-4.0, z_max=2.0))
+    params = aggregation.init_weights(17, c_raw=cloud.c_raw, c=16)
+    pick = splat._worker_count
+    maps = []
+    try:
+        for workers in (1, 2):
+            splat._worker_count = lambda *args, workers=workers: workers
+            maps.append(splat.encode(cloud, params, bev).data.tobytes())
+    finally:
+        splat._worker_count = pick
+    assert maps[0] == maps[1], "map changes between one compositing worker and two"
+
+
 def _check_kl_exact() -> None:
     eye = boxloss.GaussianDistribution3D(np.zeros(3), np.eye(3))
     assert boxloss.kl_divergence(eye, eye).total == 0.0, "self-KL not exactly 0"
@@ -287,6 +305,7 @@ CHECKS = (
     ("blend-analytic", _check_blend_analytic),
     ("density-vs-pillar", _check_density_vs_pillar),
     ("chunking-invariance", _check_chunking_invariance),
+    ("worker-invariance", _check_worker_invariance),
     ("kl-exact", _check_kl_exact),
     ("a-invariance", _check_a_invariance),
     ("bgl-gradient", _check_bgl_gradient),

@@ -40,13 +40,26 @@ block's last T (a carried T below ``t_min`` feeds only masked entries and
 is flushed to +0, which keeps T out of float32 subnormals), the early stop
 as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
 that adds the splats in order in float32 at every tile and channel count,
-without BLAS, so the map does not depend on BLAS threading.  Tiles run
-one after another: maps are bit-identical across runs.
+without BLAS, so the map does not depend on BLAS threading.
+
+Tiles are composited by W workers, the calling thread and W - 1 threads
+started for the call and joined before it returns, which take the
+non-empty tiles from one queue, deepest tile first.  W is the number of
+CPUs the process may run on, at most :data:`MAX_WORKERS` and the number of
+non-empty tiles, and lowered until each worker's share of ``mem_cap``
+holds a :data:`BLOCK_BYTES` block and one pixel of the deepest tile.
+Tiles cover disjoint pixels and every pixel is computed by the same
+per-pixel kernel, whichever worker takes its tile, so the map bytes do not
+depend on W or on the CPU affinity, and are bit-identical across runs.
+Workers run in a copy of the caller's context, so :func:`encode`'s
+``np.errstate`` holds in them too.  The first error in any worker stops
+the queue and is raised once every worker has joined.
 
 A tile runs in pixel groups: a few whole pixel rows, or part of one row
 when a whole row does not fit, sized so that the group's buffers of 17
-bytes a (splat, pixel) fit ``min(mem_cap, BLOCK_BYTES)``; a group is one
-pixel at least, and ``mem_cap`` must hold one pixel of the deepest tile.
+bytes a (splat, pixel) fit ``min(mem_cap // W, BLOCK_BYTES)``, one buffer
+set per worker; a group is one pixel at least, and ``mem_cap`` must hold
+one pixel of the deepest tile.
 Every step above is per pixel, and each group runs the same kernel over
 all the tile's rows and sums the rows live in it, so each pixel adds the
 same rows in the same order in any group and no map byte depends on the
@@ -87,10 +100,12 @@ within a channel.  A single channel can also be exported as a binary
 
 from __future__ import annotations
 
+import contextvars
 import mmap
 import os
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +136,10 @@ BIN_CANDIDATE_BYTES = 300
 #: Largest block of binning's candidates or of one pixel group's blend
 #: buffers (bytes), whatever larger ``mem_cap`` allows: a block stays in L2.
 BLOCK_BYTES = 1 << 20
+#: Most threads that composite tiles, the caller among them.  Two is the
+#: only count measured (on 2 CPUs); past it workers contend for the
+#: interpreter lock, and whether more pay is unverified.
+MAX_WORKERS = 2
 #: Largest C x H x W float32 map that compositing allocates (bytes).  Not
 #: ``mem_cap``, which bounds the per-stage buffers and may be far smaller
 #: than any map.
@@ -437,11 +456,30 @@ def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) ->
     return _blend_sum(feats32[idx[live]], w32[live])
 
 
+def _worker_count(tiles: int, deepest: int, mem_cap: int) -> int:
+    """Compositing workers: the CPUs this process may run on, at most
+    :data:`MAX_WORKERS` and ``tiles``, and as many as leave each worker's
+    share of ``mem_cap`` a whole :data:`BLOCK_BYTES` block and one pixel's
+    buffers of a ``deepest``-row tile.  Below a block, groups are so small
+    that two workers spend more on the interpreter lock than they gain:
+    a dense ``tj4d`` frame composited in 2.1 s on two against 0.9 s on one
+    at a 16 KiB cap, and in 0.94 s against 0.32 s at 64 KiB."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = max(min(cpus, MAX_WORKERS, tiles), 1)
+    while workers > 1 and mem_cap // workers < max(BLOCK_BYTES, 17 * deepest):
+        workers -= 1
+    return workers
+
+
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                mem_cap: int = DEFAULT_MEM_CAP) -> BevFeatureMap:
     """Bin and blend splats given in blend order (float32 accumulation).
-    Each tile is blended in pixel groups, whole rows or part of one row,
-    whose buffers of 17 bytes a (splat, pixel) fit ``min(mem_cap,
+    Workers take the non-empty tiles from one queue, deepest first, and
+    blend each in pixel groups, whole rows or part of one row, whose
+    buffers of 17 bytes a (splat, pixel) fit ``min(mem_cap // workers,
     BLOCK_BYTES)``, and one pixel at least; ``mem_cap`` must hold one
     pixel's buffers in the deepest tile."""
     out = _zero_map(features.shape[1], bev)
@@ -450,19 +488,25 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
     ts = _tile_size(bev, settings)
     ntx = (bev.w + ts - 1) // ts
     # per (splat, pixel): q (8 bytes), use (1), weight (4) and T (4)
-    deepest = int(np.diff(starts).max(initial=0))
+    depth = np.diff(starts)
+    deepest = int(depth.max(initial=0))
     if 17 * deepest > mem_cap:
         raise AllocationLimit(f"one pixel's blend buffers in a tile of {deepest} splats need "
                               f"{17 * deepest} bytes, cap is {mem_cap}")
-    block = min(mem_cap, BLOCK_BYTES) // 17
+    workers = _worker_count(len(tiles), deepest, mem_cap)
+    block = min(mem_cap // workers, BLOCK_BYTES) // 17
     # a group's K x pixels entries: at most the block, or K at one pixel,
     # and no more than a whole tile
     size = min(max(block, deepest), deepest * min(ts, bev.h) * min(ts, bev.w))
-    bufs = (np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=np.float32),
-            np.empty(size, dtype=np.float32))
-    for t, s0, s1 in zip(tiles.tolist(), starts[:-1].tolist(), starts[1:].tolist()):
-        idx = rows[s0:s1]
-        ty, tx = divmod(t, ntx)
+    # popped from the end: the deepest tile first, so no worker is left
+    # with a deep tile when the others run out
+    queue = np.argsort(depth, kind="stable").tolist()
+    lock = threading.Lock()
+    failed = []
+
+    def blend_tile(j, bufs):
+        idx = rows[starts[j]:starts[j + 1]]
+        ty, tx = divmod(int(tiles[j]), ntx)
         r0, r1 = ty * ts, min((ty + 1) * ts, bev.h)
         c0, c1 = tx * ts, min((tx + 1) * ts, bev.w)
         # groups of up to block // K pixels: whole rows, else part of one row
@@ -475,6 +519,35 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                 acc = _blend_pixels(idx, np.arange(g0, g1), np.arange(h0, h1), mean2d, inv,
                                     opacity, feats32, settings, bufs)
                 out[:, g0:g1, h0:h1] = acc.reshape(-1, g1 - g0, h1 - h0)
+
+    def work():
+        try:
+            bufs = (np.empty(size), np.empty(size, dtype=bool),
+                    np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32))
+            while True:
+                with lock:
+                    if failed or not queue:
+                        return
+                    j = queue.pop()
+                blend_tile(j, bufs)
+        except BaseException as exc:  # re-raised by the caller once all have joined
+            with lock:
+                failed.append(exc)
+
+    # each worker runs in a copy of the caller's context, which holds
+    # np.errstate: without it a worker would warn where encode raises
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
     _fill_holes(out)
     return BevFeatureMap(out, bev)
 
@@ -487,7 +560,9 @@ def rasterize(
     threads: int = 1,
 ) -> BevFeatureMap:
     """Tile-based alpha-blended rasterization of a list of splats, by the
-    kernels of :func:`encode`; ``threads`` is accepted and ignored."""
+    kernels of :func:`encode`.  ``threads`` is accepted and ignored: the
+    compositing workers follow the CPUs the process may run on, and the
+    map does not depend on their number."""
     settings = settings or RasterSettings()
     channels = _check_splats(splats, channels)
     order = sort_splats(splats, settings.blend_order)
@@ -533,9 +608,11 @@ def encode(
     mem_cap: int = DEFAULT_MEM_CAP,
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
-    projection, and tiled rasterization; ``threads`` is accepted and ignored,
-    ``mem_cap`` bounds the neighbour pairs, the attention score block,
-    binning's (splat, tile) candidates and the blend's per-pixel buffers.
+    projection, and tiled rasterization.  ``threads`` is accepted and
+    ignored: the compositing workers follow the CPUs the process may run
+    on, and the map does not depend on their number.  ``mem_cap`` bounds
+    the neighbour pairs, the attention score block, binning's (splat, tile)
+    candidates and the sum of every worker's per-pixel blend buffers.
     An overflow that no stage expects raises :class:`InvalidSpec`."""
     settings = settings or RasterSettings()
     # raw features past ~1e154 square to inf in the layer norms and would

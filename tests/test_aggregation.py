@@ -216,6 +216,15 @@ NEIGHBOR_CASES = {
         0.32,
     ),
     "dup_1e200": (np.vstack([np.full((4, 3), 1e200), [[0.0, 0.0, 0.0]], np.full((3, 3), -1e200)]), 0.32),
+    # a median at -1.36e12 rounds the offsets of this pair, 0.32 (1 - 1e-6)
+    # apart at 1.01e12, into cells 2 r apart: cells as wide as r there
+    # would not propose it
+    "split_by_rounding": (np.array([[-1357103835085.4568, 0.0, 0.0]] * 3
+                                   + [[1014188606435.2759, 0.0, 0.0],
+                                      [1014188606435.5958, 0.0, 0.0]]), 0.32),
+    "outliers": (np.vstack([_SCENE[:60], _SCENE[60:90] * 1e5, _SCENE[90:110] * 1e12,
+                            _SCENE[90:110] * 1e12 + 0.3, _SCENE[110:130] * 1e298,
+                            _SCENE[110:130] * 1e298 * (1 + 2e-16)]), 0.6),
     "empty": (np.zeros((0, 3)), 0.32),
     "single": (np.array([[3.0, -4.0, 5.0]]), 0.32),
     "all_duplicate": (np.tile([[0.5, -0.25, 1.0]], (40, 1)), 0.32),
@@ -402,6 +411,33 @@ def test_one_far_outlier_does_not_put_the_cloud_into_one_cell():
         pos = np.vstack([cloud.positions, np.full((1, 3), far)])
         with_outlier = build_neighbor_index(PointCloud(pos, np.zeros((401, 1))), 0.32)
         assert with_outlier.n_candidates < 2 * alone
+
+
+def test_far_flung_points_propose_candidates_linear_in_n():
+    # cells clipped at 2^19 r from the median shared the border cells:
+    # 62 k, 250 k and 999 k candidates at these sizes, for no neighbour pair
+    gen = SplitMix64(stream_seed(30, "far"))
+    for n in (1000, 2000, 4000):
+        pos = ((gen.uniforms(3 * n) * 2.0 - 1.0) * 1e300).reshape(n, 3)
+        index = build_neighbor_index(PointCloud(pos, np.zeros((n, 1))), 0.32)
+        assert len(index) == n
+        assert index.n_candidates <= n
+
+
+def test_cell_numbers_past_2_20_merge_and_keep_neighbours():
+    # 600 k points at magnitudes from 1 to 1e300 number over 2^20 cells an
+    # axis, so the numbers are halved to leave the 21-bit key fields room;
+    # three points near the median are still found
+    n = 600_000
+    gen = SplitMix64(stream_seed(31, "far"))
+    sign = np.where(gen.uniforms(3 * n) < 0.5, -1.0, 1.0)
+    pos = (sign * 10.0 ** (gen.uniforms(3 * n) * 300.0)).reshape(n, 3)
+    pos[:3] = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.3, 0.2, 0.1]]
+    index = build_neighbor_index(PointCloud(pos, np.zeros((n, 1))), 0.32)
+    pairs = set(zip(index.row_idx[:7].tolist(), index.col_idx[:7].tolist()))
+    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
+    assert len(index) == n + 4
+    assert index.n_candidates < 100
 
 
 def test_memory_estimates():

@@ -7,6 +7,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from rgkit.aggregation import (
     lfa_index_scatter,
     softplus,
 )
+from rgkit.config import DEFAULT_MEM_CAP
 from rgkit.errors import (
     AllocationLimit,
     FormatError,
@@ -50,6 +53,7 @@ from rgkit.splat import (
     write_feature_map,
     write_pgm,
 )
+from rgkit import splat as splat_module
 from rgkit.splat import _blend_sum, _columns, _composite, _splat_arrays
 
 VOD = BevRange(0.0, 51.2, -25.6, 25.6, 320, 320)
@@ -774,11 +778,15 @@ def _composite_at(splats, bev, channels, settings, mem_cap):
                       settings, mem_cap).data
 
 
+def _deepest(splats, bev, settings):
+    return max(map(len, build_tile_grid(sort_splats(splats, settings.blend_order), bev,
+                                        settings).tiles))
+
+
 def _one_pixel_cap(splats, bev, settings):
     """A mem_cap that holds one pixel's blend buffers of the deepest tile
     (17 bytes a splat) but not two, and one binning candidate."""
-    tiles = build_tile_grid(sort_splats(splats, settings.blend_order), bev, settings).tiles
-    deepest = max(map(len, tiles))
+    deepest = _deepest(splats, bev, settings)
     cap = max(17 * deepest, BIN_CANDIDATE_BYTES)
     assert cap < 2 * 17 * deepest
     return cap
@@ -815,22 +823,163 @@ def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size):
                 _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
 
 
-def test_blend_buffers_stay_under_mem_cap():
+def test_blend_buffers_stay_under_mem_cap(monkeypatch):
     # 600 splats over one 64 x 64 tile: the blend buffers used to hold the
-    # whole tile whatever mem_cap said, 600 * 4096 * 17 bytes = 41.8 MB
+    # whole tile whatever mem_cap said, 600 * 4096 * 17 bytes = 41.8 MB.
+    # At tile_size 32 two workers share the cap (tracemalloc sees every thread).
     bev = BevRange(0.0, 51.2, -25.6, 25.6, 64, 64)
     cloud = generate_scene(SceneSpec(seed=0, n_points=600))
     params = init_weights(0, c_raw=4, c=8, s_min=50.0)
-    settings = RasterSettings(tile_size=64)
-    want = _ref_encode(cloud, params, bev, settings)
-    tracemalloc.start()
-    try:
-        got = encode(cloud, params, bev, settings, mem_cap=1 << 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    _assert_same_bytes(got.data, want)
-    assert peak < 4 << 20
+    for tile_size, workers in ((64, 1), (32, 2)):
+        _force_workers(monkeypatch, workers)
+        settings = RasterSettings(tile_size=tile_size)
+        want = _ref_encode(cloud, params, bev, settings)
+        tracemalloc.start()
+        try:
+            got = encode(cloud, params, bev, settings, mem_cap=1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_same_bytes(got.data, want)
+        assert peak < 4 << 20
+
+
+def test_workers_share_mem_cap_in_blocks_and_pixels(monkeypatch):
+    # two workers need a 1 MiB block each and one pixel of the deepest tile
+    # each: a cap for one pixel but not two, or for one block but not two,
+    # runs one worker and writes the same bytes
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    splats = _adversarial_splats(bev, 16)
+    settings = RasterSettings(tile_size=16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    picked = []
+    pick = splat_module._worker_count
+    monkeypatch.setattr(splat_module, "_worker_count",
+                        lambda *args: picked.append(pick(*args)) or picked[-1])
+    want = _composite_at(splats, bev, 1, settings, DEFAULT_MEM_CAP)
+    for cap in (_one_pixel_cap(splats, bev, settings), 2 * BLOCK_BYTES - 1, 2 * BLOCK_BYTES):
+        _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
+    assert picked == [2, 1, 1, 2]
+    deep = 100_000  # one pixel's buffers, 1.7 MB, outgrow a block
+    assert pick(9, deep, 2 * 17 * deep - 1) == 1 and pick(9, deep, 2 * 17 * deep) == 2
+    assert pick(1, 10, DEFAULT_MEM_CAP) == 1  # one tile
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(splat_module, "_worker_count", lambda *args: workers)
+
+
+@pytest.mark.parametrize("blend_order", BLEND_ORDERS)
+@pytest.mark.parametrize("t_min", [1e-4, 0.0])
+def test_worker_count_keeps_the_bytes_on_a_dense_tj4d_frame(dense_tj4d_splats, t_min,
+                                                            blend_order, monkeypatch):
+    # tiles are disjoint and every step is per pixel; at 17 x deepest x W
+    # each worker blends one-pixel groups (one worker's are tested against
+    # the per-object pipeline above)
+    settings = RasterSettings(t_min=t_min, blend_order=blend_order)
+    deepest = _deepest(dense_tj4d_splats, TJ4D, settings)
+    _force_workers(monkeypatch, 1)
+    want = _composite_at(dense_tj4d_splats, TJ4D, 64, settings, DEFAULT_MEM_CAP)
+    for workers in (2, 3):
+        _force_workers(monkeypatch, workers)
+        for cap in (DEFAULT_MEM_CAP, 17 * deepest * workers):
+            _assert_same_bytes(_composite_at(dense_tj4d_splats, TJ4D, 64, settings, cap), want)
+
+
+@pytest.mark.parametrize("tile_size", [16, 32])
+def test_worker_count_keeps_the_bytes_on_the_binning_fixture(tile_size, monkeypatch):
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    splats = _adversarial_splats(bev, tile_size)
+    for blend_order in BLEND_ORDERS:
+        for t_min in (1e-4, 0.0):
+            settings = RasterSettings(tile_size=tile_size, t_min=t_min, blend_order=blend_order)
+            deepest = _deepest(splats, bev, settings)
+            _force_workers(monkeypatch, 1)
+            want = _composite_at(splats, bev, 1, settings, DEFAULT_MEM_CAP)
+            for workers in (1, 2, 3):
+                _force_workers(monkeypatch, workers)
+                for cap in (DEFAULT_MEM_CAP, max(17 * deepest * workers, BIN_CANDIDATE_BYTES)):
+                    _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
+
+
+def _spy_on_workers(monkeypatch, fail=None):
+    """Run two workers, each blending its first pixel group only once the
+    other has reached its own; record (thread, np.geterr()) per group.  If
+    ``fail`` is given as (``"caller"`` or ``"worker"``, a function that
+    raises), that thread calls it at its second group, and the other thread
+    blends a second group only after that, so neither takes a third."""
+    _force_workers(monkeypatch, 2)
+    both, raised = threading.Barrier(2), threading.Event()
+    seen = []
+    blend = splat_module._blend_pixels
+
+    def spy(*args):
+        me = threading.current_thread()
+        mine = sum(thread is me for thread, _ in seen)
+        seen.append((me, np.geterr()))
+        if mine == 0:
+            both.wait(timeout=30)
+        elif mine == 1 and fail is not None:
+            if (me is threading.main_thread()) == (fail[0] == "caller"):
+                raised.set()
+                fail[1]()
+            assert raised.wait(timeout=30)
+            time.sleep(0.05)  # while the failing thread records its error
+        return blend(*args)
+
+    monkeypatch.setattr(splat_module, "_blend_pixels", spy)
+    return seen
+
+
+def _sparse_vod_scene():
+    # 120 splats over the 400 tiles of the vod map: one pixel group a tile
+    return generate_scene(SceneSpec(seed=70, n_points=120)), init_weights(70, c_raw=4, c=16)
+
+
+def test_workers_blend_under_the_callers_errstate(monkeypatch):
+    # np.errstate lives in a context variable: a plain thread would blend
+    # at over='warn' and turn encode's InvalidSpec into a leaked warning
+    cloud, params = _sparse_vod_scene()
+    want = encode(cloud, params, VOD)
+    seen = _spy_on_workers(monkeypatch)
+    before = threading.active_count()
+    got = encode(cloud, params, VOD)
+    assert threading.active_count() == before
+    _assert_same_bytes(got.data, want.data)
+    assert len({thread for thread, _ in seen}) == 2
+    for _, err in seen:
+        assert (err["over"], err["invalid"]) == ("raise", "raise")
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_worker_overflow_surfaces_as_invalid_spec(monkeypatch, where):
+    cloud, params = _sparse_vod_scene()
+    # a real overflow: FloatingPointError only under encode's errstate
+    seen = _spy_on_workers(monkeypatch, (where, lambda: np.exp(np.float64(1000.0))))
+    before = threading.active_count()
+    with pytest.raises(InvalidSpec, match="encoding overflows float64 .overflow encountered in exp"):
+        encode(cloud, params, VOD)
+    assert threading.active_count() == before
+    assert len(seen) <= 4  # the first error stopped the queue
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_a_worker_error_propagates_unchanged(monkeypatch, where):
+    class Injected(Exception):
+        pass
+
+    cloud, params = _sparse_vod_scene()
+    injected = Injected("in a pixel group")
+
+    def throw():
+        raise injected
+
+    _spy_on_workers(monkeypatch, (where, throw))
+    before = threading.active_count()
+    with pytest.raises(Injected) as caught:
+        encode(cloud, params, VOD)
+    assert caught.value is injected
+    assert threading.active_count() == before
 
 
 def test_one_channel_one_pixel_corner_tile_matches_per_object_pipeline():
