@@ -34,11 +34,9 @@ minimum is 0 with the mean inside, else the least of four clamped 1-D edge
 minima.  Binning is lossless, so tiles match the brute force
 (:func:`rasterize_oracle`) up to 32- vs 64-bit rounding.  Each tile is
 composited front to back with array operations over all its rows, as in
-3D Gaussian Splatting (Kerbl et al., 2023): a float32 ``cumprod`` of
-``1 - alpha`` for T in blocks of 64 rows, each carrying the previous
-block's last T (a carried T below ``t_min`` feeds only masked entries and
-is flushed to +0, which keeps T out of float32 subnormals), the early stop
-as the mask ``T_after >= t_min`` (T never increases), and one ``einsum``
+3D Gaussian Splatting (Kerbl et al., 2023): one float32 ``cumprod`` of
+``1 - alpha`` over the tile's rows for T, the early stop as the mask
+``T_after >= t_min`` (T never increases), and one ``einsum``
 that adds the splats in order in float32 at every tile and channel count,
 without BLAS, so the map does not depend on BLAS threading.
 
@@ -437,17 +435,9 @@ def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) ->
     w32.fill(0.0)
     np.copyto(w32, alpha, casting="same_kind", where=use)
     np.subtract(np.float32(1.0), w32, out=t_after)
-    # T in 64-row blocks, each carrying the last T of the one before: the
-    # same products.  A carried T below t_min feeds only masked entries,
-    # so it is flushed to +0 rather than sunk through float32 subnormals.
-    for k0 in range(0, k, 64):
-        blk = t_after[k0:k0 + 64]
-        if k0:
-            blk[0] *= t_after[k0 - 1]
-        np.cumprod(blk, axis=0, out=blk)
-        if t_min > 0:
-            use[k0:k0 + 64] &= blk >= t_min
-            blk[-1][blk[-1] < t_min] = 0.0
+    np.cumprod(t_after, axis=0, out=t_after)  # T after each row
+    if t_min > 0:
+        use &= t_after >= t_min  # T never increases: the early stop
     w32[1:] *= t_after[:-1]  # alpha * T before the splat
     w32 *= use
     # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
@@ -468,10 +458,8 @@ def _worker_count(tiles: int, deepest: int, mem_cap: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    workers = max(min(cpus, MAX_WORKERS, tiles), 1)
-    while workers > 1 and mem_cap // workers < max(BLOCK_BYTES, 17 * deepest):
-        workers -= 1
-    return workers
+    # mem_cap // w >= share exactly where w <= mem_cap // share
+    return max(min(cpus, MAX_WORKERS, tiles, mem_cap // max(BLOCK_BYTES, 17 * deepest)), 1)
 
 
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,

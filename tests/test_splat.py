@@ -865,6 +865,29 @@ def test_workers_share_mem_cap_in_blocks_and_pixels(monkeypatch):
     assert pick(1, 10, DEFAULT_MEM_CAP) == 1  # one tile
 
 
+def _worker_count_by_decrement(tiles, deepest, mem_cap):
+    """The rule as a loop: lower W from the CPU and tile bound until each
+    worker's share of mem_cap holds a block and one pixel's buffers."""
+    workers = max(min(len(os.sched_getaffinity(0)), splat_module.MAX_WORKERS, tiles), 1)
+    while workers > 1 and mem_cap // workers < max(BLOCK_BYTES, 17 * deepest):
+        workers -= 1
+    return workers
+
+
+def test_worker_count_is_the_decrement_loops_fixed_point(monkeypatch):
+    for cpus in range(1, 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        for tiles in range(4):
+            for deepest in (0, 1, 1_000, 100_000):
+                caps = {0, 17 * deepest, 2 * 17 * deepest} | {
+                    m * BLOCK_BYTES + d for m in (1, 2, 3) for d in (-1, 0, 1)}
+                for cap in sorted(caps):
+                    assert (splat_module._worker_count(tiles, deepest, cap)
+                            == _worker_count_by_decrement(tiles, deepest, cap)), \
+                        (cpus, tiles, deepest, cap)
+
+
 def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(splat_module, "_worker_count", lambda *args: workers)
 
@@ -1017,8 +1040,11 @@ def test_carried_transmittance_through_subnormals_matches_one_cumprod():
               for i in range(1500)]
     for t_min in (1e-4, 0.0, -1.0):
         settings = RasterSettings(t_min=t_min, blend_order="index")
-        _assert_same_bytes(rasterize(splats, bev, 2, settings).data,
-                           _ref_rasterize(splats, bev, 2, settings))
+        want = _ref_rasterize(splats, bev, 2, settings)
+        _assert_same_bytes(rasterize(splats, bev, 2, settings).data, want)
+        # every group size, down to one pixel, takes the same products
+        for cap in (1 << 16, _one_pixel_cap(splats, bev, settings)):
+            _assert_same_bytes(_composite_at(splats, bev, 2, settings, cap), want)
 
 
 def test_tile_whose_rows_all_fail_alpha_min_writes_exact_zeros():
