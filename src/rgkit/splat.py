@@ -61,14 +61,23 @@ one pixel of the deepest tile.
 Every step above is per pixel, and each group runs the same kernel over
 all the tile's rows and sums the rows live in it, so each pixel adds the
 same rows in the same order in any group and no map byte depends on the
-group size.
+group size.  A group writes only its lit rows: one where no splat is used
+at any pixel skips its ``einsum`` and writes nothing, and one of several
+pixel rows leaves out the rows before its first and after its last row
+that is not +0 in every channel and column.  A one-row group, as at one
+pixel, writes its row without that test, and +0 rows between lit ones
+are written, as a store per run of rows cost more than it saved.
+No byte moves: the map is +0 already, a sum over no rows is +0 (the
+``einsum`` starts from +0), and a row is left out only where all its
+bytes are 0, so NaN and -0 count as values.
 
 The map is a private anonymous mapping in 4 KiB pages (``np.zeros`` where
 the platform has no ``MAP_PRIVATE``, and at zero bytes).  Radar maps are
 sparse: on a ``tj4d`` frame fewer than half of the map's pages hold a
-nonzero value, and only the pages that compositing stores into become
-resident (NumPy advises huge pages on its own arrays of 4 MB and more, so
-an ``np.zeros`` map is resident whole once touched).  After the last pixel
+nonzero value, and only pages holding a value become resident: a group
+writes only its lit rows, and a 496-px float32 row is about half a page
+(NumPy advises huge pages on its own arrays of 4 MB and more, so an
+``np.zeros`` map is resident whole once touched).  After the last pixel
 group, one ``madvise(MADV_POPULATE_READ)`` (Linux 5.14+) maps every
 untouched page to the kernel's shared zero page, which is not counted as
 resident, so reading the map to write it takes no page faults.  Populating
@@ -413,9 +422,10 @@ def _blend_sum(feats: Array, weights: Array) -> Array:
     return np.einsum("kc,kp->cp", feats, weights)
 
 
-def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) -> Array:
+def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) -> Array | None:
     """Sum (C, len(ys) * len(xs)) of the rows ``idx`` (in blend order) at the
-    pixels ``ys`` x ``xs``; ``bufs`` hold K x pixels entries each."""
+    pixels ``ys`` x ``xs``, or None where no row is used at any of them;
+    ``bufs`` hold K x pixels entries each."""
     k, n = len(idx), len(ys) * len(xs)
     q, use, w32, t_after = (buf[:k * n].reshape(k, n) for buf in bufs)
     t_min = np.float32(settings.t_min)
@@ -443,6 +453,8 @@ def _blend_pixels(idx, ys, xs, mean2d, inv, opacity, feats32, settings, bufs) ->
     # Rows unused at every pixel multiply T by exactly 1 and add f * +0 to
     # a float32 sum that starts at +0, so dropping them changes no bit.
     live = np.flatnonzero(use.any(axis=1))
+    if not live.size:  # the sum would be +0 at every pixel
+        return None
     return _blend_sum(feats32[idx[live]], w32[live])
 
 
@@ -469,7 +481,8 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
     blend each in pixel groups, whole rows or part of one row, whose
     buffers of 17 bytes a (splat, pixel) fit ``min(mem_cap // workers,
     BLOCK_BYTES)``, and one pixel at least; ``mem_cap`` must hold one
-    pixel's buffers in the deepest tile."""
+    pixel's buffers in the deepest tile.  A group writes only its lit
+    rows, so only pages holding a value become resident."""
     out = _zero_map(features.shape[1], bev)
     rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
     feats32 = features.astype(np.float32, copy=False)
@@ -506,7 +519,14 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
                 h1 = min(h0 + ncol, c1)
                 acc = _blend_pixels(idx, np.arange(g0, g1), np.arange(h0, h1), mean2d, inv,
                                     opacity, feats32, settings, bufs)
-                out[:, g0:g1, h0:h1] = acc.reshape(-1, g1 - g0, h1 - h0)
+                if acc is None:
+                    continue
+                a, b = 0, g1 - g0
+                if b > 1:  # from the first row with a nonzero byte to the last
+                    lit = np.flatnonzero(acc.view(np.uint32).any(axis=0).reshape(b, -1)
+                                         .any(axis=1))
+                    a, b = (lit[0], lit[-1] + 1) if lit.size else (0, 0)
+                out[:, g0 + a:g0 + b, h0:h1] = acc.reshape(-1, g1 - g0, h1 - h0)[:, a:b]
 
     def work():
         try:

@@ -759,6 +759,61 @@ def test_a_sparse_map_keeps_only_its_touched_pages_resident(tmp_path):
     assert data.shape == (16, 1024, 1024) and 0 < np.count_nonzero(data) < data.size // 100
 
 
+def _written_pages(data) -> int:
+    """Pages of a page-aligned array that this process wrote: those whose
+    ``/proc/self/pagemap`` entry has bit 56 (exclusively mapped) set, which
+    the shared zero page behind a hole never has."""
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(data.ctypes.data // mmap.PAGESIZE * 8)
+        entries = np.frombuffer(fh.read(8 * (data.nbytes // mmap.PAGESIZE)), dtype="<u8")
+    return int(np.count_nonzero((entries >> 56) & 1))
+
+
+def _pagemap_marks_written_pages() -> bool:
+    """Whether ``/proc/self/pagemap`` can be read and marks a written page
+    of a private mapping exclusive (Linux 4.2+), and the transparent huge
+    page mode is not ``always``, under which one store could make 512
+    pages resident."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as fh:
+            if "[always]" in fh.read():
+                return False
+    except OSError:
+        pass
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return False
+    buf = mmap.mmap(-1, mmap.PAGESIZE, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    page = np.ndarray(mmap.PAGESIZE, dtype=np.uint8, buffer=buf)
+    page[0] = 1
+    try:
+        written = _written_pages(page) == 1
+    except OSError:
+        written = False
+    del page
+    buf.close()
+    return written
+
+
+@pytest.mark.skipif(not _pagemap_marks_written_pages(),
+                    reason="needs /proc/self/pagemap's exclusive bit and 4 KiB pages")
+def test_compositing_writes_only_the_pages_holding_a_value(dense_tj4d_splats, monkeypatch):
+    # pixel groups stored +0 into rows that no splat reaches: 6 480 of the
+    # map's 13 392 pages were written, against 5 312 holding a value
+    def check(data):
+        assert isinstance(data.base, mmap.mmap) and data.nbytes % mmap.PAGESIZE == 0
+        written = _written_pages(data)
+        holding = data.view(np.uint32).reshape(-1, mmap.PAGESIZE // 4).any(axis=1)
+        assert written == np.count_nonzero(holding) > 0
+
+    cloud, params = _dense_tj4d_frame()
+    check(encode(cloud, params, TJ4D).data)
+    settings = RasterSettings()
+    cap = _one_pixel_cap(dense_tj4d_splats, TJ4D, settings)
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        check(_composite_at(dense_tj4d_splats, TJ4D, 64, settings, cap))
+
+
 def test_encode_map_is_the_same_without_a_page_mapping(monkeypatch):
     # where mmap has no MAP_PRIVATE the map is np.zeros, with the same bytes
     cloud = generate_scene(SceneSpec(seed=7, n_points=150))
@@ -810,17 +865,36 @@ def test_blend_pixel_groups_keep_the_bytes_on_a_dense_tj4d_frame(dense_tj4d_spla
         _assert_same_bytes(_composite_at(dense_tj4d_splats, TJ4D, 64, settings, cap), want)
 
 
+def _lit_row_splats(ts):
+    """Small discs at two points ``ts - 7`` rows apart in tile (0, 0), five
+    at each so that a one-pixel cap also holds a binning candidate: its
+    pixel groups have +0 rows before, between and after the lit ones.  And
+    a thin ellipse between two pixel rows of tile (1, 1): binning keeps that
+    tile, as the mean lies inside its rectangle of pixel centres, but alpha
+    is ~e^-125 at every centre, so no row is used there."""
+    discs = [_disc_splat(5.5, y, opacity=0.9, var=0.3, key=i)
+             for i, y in enumerate([2.5] * 5 + [ts - 4.5] * 5)]
+    return discs + [_cov_splat(ts + 4.0, ts + 2.0, np.diag([1.0, 1e-3]), opacity=0.9, key=10)]
+
+
 @pytest.mark.parametrize("tile_size", [16, 32])
 def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size):
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
-    splats = _adversarial_splats(bev, tile_size)
-    for blend_order in BLEND_ORDERS:
-        for t_min in (1e-4, 0.0):
-            settings = RasterSettings(tile_size=tile_size, t_min=t_min, blend_order=blend_order)
-            want = _ref_rasterize(splats, bev, 1, settings)
-            one_pixel = _one_pixel_cap(splats, bev, settings)
-            for cap in (BLOCK_BYTES, 1 << 16, 3 * one_pixel, one_pixel):
-                _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
+    lit_rows = _lit_row_splats(tile_size)
+    settings = RasterSettings(tile_size=tile_size)
+    kept = [i for i, t in enumerate(build_tile_grid(lit_rows, bev, settings).tiles) if t]
+    assert kept == [0, -(-bev.w // tile_size) + 1]
+    lit = np.flatnonzero(_ref_rasterize(lit_rows, bev, 1, settings)[0].any(axis=1))
+    assert 0 < lit.min() and lit.max() < tile_size - 1 and np.diff(lit).max() > 1
+    for splats in (_adversarial_splats(bev, tile_size), lit_rows):
+        for blend_order in BLEND_ORDERS:
+            for t_min in (1e-4, 0.0):
+                settings = RasterSettings(tile_size=tile_size, t_min=t_min,
+                                          blend_order=blend_order)
+                want = _ref_rasterize(splats, bev, 1, settings)
+                one_pixel = _one_pixel_cap(splats, bev, settings)
+                for cap in (DEFAULT_MEM_CAP, BLOCK_BYTES, 1 << 16, 3 * one_pixel, one_pixel):
+                    _assert_same_bytes(_composite_at(splats, bev, 1, settings, cap), want)
 
 
 def test_blend_buffers_stay_under_mem_cap(monkeypatch):
