@@ -16,7 +16,7 @@ from __future__ import annotations
 import statistics
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .pointcloud import PointCloud, SceneSpec, generate_scene
 
 #: Max absolute elementwise deviation from the traversal reference.
 GATE_TOL = 1e-9
-
-_IMPL_NAMES = ("traversal", "broadcast_mask", "index_scatter")
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,7 @@ def run_bench(
                 index_scatter_mem_bytes(n, c_raw, c, len(index), index.n_candidates),
             ),
         }
-        for name in _IMPL_NAMES:
-            fn, est = impls[name]
+        for name, (fn, est) in impls.items():
             try:
                 out = fn()
             except AllocationLimit:
@@ -137,8 +134,7 @@ def run_bench(
     return BenchReport(rows=tuple(rows), gate_passed=gate_passed)
 
 
-_COLUMNS = ("name", "n", "reps", "mean_ms", "median_ms", "p95_ms",
-            "est_mem_bytes", "checksum", "status", "max_diff")
+_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def _cell(row: BenchRow, col: str) -> str:

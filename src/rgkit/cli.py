@@ -10,8 +10,9 @@ Commands
 
 Configuration precedence (lowest to highest): built-in defaults, then
 ``--config`` file, then ``--preset``, then ``--set KEY=VALUE`` overrides,
-then specific flags such as ``--seed``.  ``--dump-config`` prints the
-merged configuration and exits without doing work.
+then specific flags such as ``--seed``.  ``main`` merges and validates
+it before a command reads any file; ``--dump-config`` prints the merged
+configuration and exits without doing work.
 
 Exit codes: 0 success; 1 usage error; 2 malformed input or I/O failure;
 3 numerical or shape failure; 4 a gate or check reported a failure.
@@ -76,17 +77,7 @@ def _merge_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _maybe_dump(args, cfg: RunConfig) -> bool:
-    if args.dump_config:
-        sys.stdout.write(dump_config(cfg))
-        return True
-    return False
-
-
-def cmd_generate(args) -> int:
-    cfg = _merge_config(args)
-    if _maybe_dump(args, cfg):
-        return 0
+def cmd_generate(args, cfg: RunConfig) -> int:
     from .pointcloud import SceneSpec, generate_scene, write_cloud
 
     spec = SceneSpec(
@@ -106,10 +97,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_encode(args) -> int:
-    cfg = _merge_config(args)
-    if _maybe_dump(args, cfg):
-        return 0
+def cmd_encode(args, cfg: RunConfig) -> int:
     from .aggregation import init_weights
     from .pointcloud import read_cloud
     from .splat import encode, nonzero_pixels, pillar_scatter, write_feature_map, write_pgm
@@ -145,10 +133,7 @@ def _parse_n_list(text: str) -> list:
     return values
 
 
-def cmd_bench_lfa(args) -> int:
-    cfg = _merge_config(args)
-    if _maybe_dump(args, cfg):
-        return 0
+def cmd_bench_lfa(args, cfg: RunConfig) -> int:
     from .bench import format_report, report_to_csv, run_bench
 
     report = run_bench(
@@ -171,10 +156,7 @@ def cmd_bench_lfa(args) -> int:
     return 0
 
 
-def cmd_bgl(args) -> int:
-    cfg = _merge_config(args)
-    if _maybe_dump(args, cfg):
-        return 0
+def cmd_bgl(args, cfg: RunConfig) -> int:
     pred, _pred_classes = read_boxes(args.pred)
     gt, gt_classes = read_boxes(args.gt)
     mean, a, terms, grad = _pair_terms(pred, gt, gt_classes, cfg.bgl_config())
@@ -281,7 +263,13 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.handler(args)
+        if "dump_config" not in args:  # selftest takes no configuration
+            return args.handler(args)
+        cfg = _merge_config(args)
+        if args.dump_config:
+            sys.stdout.write(dump_config(cfg))
+            return 0
+        return args.handler(args, cfg)
     except (FormatError, InvalidSpec, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -38,7 +38,9 @@ DEFAULT_RADIUS = 0.32
 DEFAULT_DIM = 64
 #: Additive floor applied to softplus scale outputs (meters).
 SCALE_FLOOR = 1e-3
-#: Default cap for the dense broadcast buffers and attention score blocks (bytes).
+#: Default cap (bytes) on the transient buffers: the dense broadcast buffers,
+#: the neighbour pairs, the attention score blocks, binning's (splat, tile)
+#: candidates and the per-pixel blend buffers.
 DEFAULT_MEM_CAP = 1 << 30
 #: Height range (meters) of synthetic scenes.
 DEFAULT_Z_MIN = -3.0
@@ -182,18 +184,15 @@ class RunConfig:
     a_default: float = BglConfig.a_default
     a_per_class: dict = field(default_factory=lambda: dict(DEFAULT_A_PER_CLASS))
 
+    def _view(self, kind):
+        """A ``kind`` settings object built from this config's fields of the same names."""
+        return kind(**{f.name: getattr(self, f.name) for f in dataclasses.fields(kind)})
+
     def bev(self) -> BevRange:
-        return BevRange(self.x_min, self.x_max, self.y_min, self.y_max, self.h, self.w)
+        return self._view(BevRange)
 
     def raster_settings(self) -> RasterSettings:
-        return RasterSettings(
-            alpha_max=self.alpha_max,
-            alpha_min=self.alpha_min,
-            t_min=self.t_min,
-            lambda_blur=self.lambda_blur,
-            tile_size=self.tile_size,
-            blend_order=self.blend_order,
-        )
+        return self._view(RasterSettings)
 
     def bgl_config(self) -> BglConfig:
         return BglConfig(a_per_class=dict(self.a_per_class), a_default=self.a_default)

@@ -17,8 +17,8 @@ import time
 import numpy as np
 
 from . import aggregation, boxloss, rng, splat
-from .config import (BevRange, RasterSettings, RunConfig, apply_updates, dump_config,
-                     parse_config_text)
+from .config import (BevRange, RasterSettings, RunConfig, apply_preset, apply_updates,
+                     dump_config, parse_config_text)
 from .geom import mat3_inverse, quat_normalize, quat_to_rotmat
 from .pointcloud import PointCloud, SceneSpec, generate_scene, read_cloud, write_cloud
 
@@ -167,9 +167,9 @@ def _check_blend_analytic() -> None:
 
 
 def _check_density_vs_pillar() -> None:
-    bev = BevRange(0.0, 51.2, -25.6, 25.6, 320, 320)
-    cloud = generate_scene(SceneSpec(seed=11, n_points=300, bev=bev))
     cfg = RunConfig(c=32, seed=11)
+    bev = cfg.bev()
+    cloud = generate_scene(SceneSpec(seed=11, n_points=300, bev=bev))
     fmap = splat.encode(cloud, aggregation.init_weights(11, c_raw=cloud.c_raw, c=32),
                         bev, cfg.raster_settings())
     dense = splat.nonzero_pixels(fmap)
@@ -179,13 +179,16 @@ def _check_density_vs_pillar() -> None:
 
 def _check_chunking_invariance() -> None:
     # at a 10 m scale floor each of the 30 splats reaches every tile of the
-    # 64 x 64 map, so 17 * 30 = 510 bytes hold one pixel's blend buffers in
-    # every tile but not two, and one (splat, tile) candidate of 300 bytes
+    # 64 x 64 map, so one pixel's blend buffers of the 30 fill the cap in
+    # every tile, and the cap holds one (splat, tile) candidate but not two
     bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)
     cloud = generate_scene(SceneSpec(seed=16, n_points=30, bev=bev))
     params = aggregation.init_weights(16, c_raw=cloud.c_raw, c=8, s_min=10.0)
+    cap = splat.BLEND_ENTRY_BYTES * len(cloud)
+    assert splat.BIN_CANDIDATE_BYTES <= cap < 2 * splat.BIN_CANDIDATE_BYTES, (
+        f"a cap of {cap} bytes does not hold exactly one binning candidate")
     want = splat.encode(cloud, params, bev)
-    got = splat.encode(cloud, params, bev, mem_cap=17 * len(cloud))
+    got = splat.encode(cloud, params, bev, mem_cap=cap)
     assert got.data.tobytes() == want.data.tobytes(), (
         "map changes with one-pixel blend groups and one-candidate bin blocks")
 
@@ -193,9 +196,10 @@ def _check_chunking_invariance() -> None:
 def _check_worker_invariance() -> None:
     # hundreds of splats per tile: one worker and two must write the same
     # bytes, the worker count being whatever the CPUs allow otherwise
-    bev = BevRange(0.0, 69.12, -39.68, 39.68, 432, 496)
+    cfg = apply_preset(RunConfig(), "tj4d")
+    bev = cfg.bev()
     cloud = generate_scene(SceneSpec(seed=17, n_points=1000, n_clusters=4, cluster_sigma=0.5,
-                                     bev=bev, z_min=-4.0, z_max=2.0))
+                                     bev=bev, z_min=cfg.z_min, z_max=cfg.z_max))
     params = aggregation.init_weights(17, c_raw=cloud.c_raw, c=16)
     pick = splat._worker_count
     maps = []

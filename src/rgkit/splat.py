@@ -54,10 +54,10 @@ Workers run in a copy of the caller's context, so :func:`encode`'s
 the queue and is raised once every worker has joined.
 
 A tile runs in pixel groups: a few whole pixel rows, or part of one row
-when a whole row does not fit, sized so that the group's buffers of 17
-bytes a (splat, pixel) fit ``min(mem_cap // W, BLOCK_BYTES)``, one buffer
-set per worker; a group is one pixel at least, and ``mem_cap`` must hold
-one pixel of the deepest tile.
+when a whole row does not fit, sized so that the group's buffers of
+:data:`BLEND_ENTRY_BYTES` a (splat, pixel) fit ``min(mem_cap // W,
+BLOCK_BYTES)``, one buffer set per worker; a group is one pixel at least,
+and ``mem_cap`` must hold one pixel of the deepest tile.
 Every step above is per pixel, and each group runs the same kernel over
 all the tile's rows and sums the rows live in it, so each pixel adds the
 same rows in the same order in any group and no map byte depends on the
@@ -140,6 +140,8 @@ Array = np.ndarray
 
 #: Transient bytes per (splat, tile) candidate while binning tests it.
 BIN_CANDIDATE_BYTES = 300
+#: Blend buffer bytes per (splat, pixel): q (8), use (1), weight (4) and T (4).
+BLEND_ENTRY_BYTES = 17
 #: Largest block of binning's candidates or of one pixel group's blend
 #: buffers (bytes), whatever larger ``mem_cap`` allows: a block stays in L2.
 BLOCK_BYTES = 1 << 20
@@ -470,8 +472,9 @@ def _worker_count(tiles: int, deepest: int, mem_cap: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
+    share = max(BLOCK_BYTES, BLEND_ENTRY_BYTES * deepest)
     # mem_cap // w >= share exactly where w <= mem_cap // share
-    return max(min(cpus, MAX_WORKERS, tiles, mem_cap // max(BLOCK_BYTES, 17 * deepest)), 1)
+    return max(min(cpus, MAX_WORKERS, tiles, mem_cap // share), 1)
 
 
 def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
@@ -479,23 +482,23 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
     """Bin and blend splats given in blend order (float32 accumulation).
     Workers take the non-empty tiles from one queue, deepest first, and
     blend each in pixel groups, whole rows or part of one row, whose
-    buffers of 17 bytes a (splat, pixel) fit ``min(mem_cap // workers,
-    BLOCK_BYTES)``, and one pixel at least; ``mem_cap`` must hold one
-    pixel's buffers in the deepest tile.  A group writes only its lit
-    rows, so only pages holding a value become resident."""
+    buffers of :data:`BLEND_ENTRY_BYTES` a (splat, pixel) fit
+    ``min(mem_cap // workers, BLOCK_BYTES)``, and one pixel at least;
+    ``mem_cap`` must hold one pixel's buffers in the deepest tile.  A
+    group writes only its lit rows, so only pages holding a value become
+    resident."""
     out = _zero_map(features.shape[1], bev)
     rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
     feats32 = features.astype(np.float32, copy=False)
     ts = _tile_size(bev, settings)
     ntx = (bev.w + ts - 1) // ts
-    # per (splat, pixel): q (8 bytes), use (1), weight (4) and T (4)
     depth = np.diff(starts)
     deepest = int(depth.max(initial=0))
-    if 17 * deepest > mem_cap:
+    if BLEND_ENTRY_BYTES * deepest > mem_cap:
         raise AllocationLimit(f"one pixel's blend buffers in a tile of {deepest} splats need "
-                              f"{17 * deepest} bytes, cap is {mem_cap}")
+                              f"{BLEND_ENTRY_BYTES * deepest} bytes, cap is {mem_cap}")
     workers = _worker_count(len(tiles), deepest, mem_cap)
-    block = min(mem_cap // workers, BLOCK_BYTES) // 17
+    block = min(mem_cap // workers, BLOCK_BYTES) // BLEND_ENTRY_BYTES
     # a group's K x pixels entries: at most the block, or K at one pixel,
     # and no more than a whole tile
     size = min(max(block, deepest), deepest * min(ts, bev.h) * min(ts, bev.w))

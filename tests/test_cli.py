@@ -302,6 +302,32 @@ def test_dump_config_round_trips(tmp_path, capsys):
     assert dump_config(parsed) == text  # dump of the parse is bit-identical
 
 
+# for each command that takes the configuration options: its required
+# options and the options that write files; no path names an existing file
+_COMMAND_ARGS = {
+    "generate": ["--out", "scene.csv", "--n", "10", "--binary"],
+    "encode": ["--cloud", "scene.csv", "--out", "map.rgfm", "--pgm", "map.pgm"],
+    "bench-lfa": ["--n", "10", "--csv", "bench.csv"],
+    "bgl": ["--pred", "pred.csv", "--gt", "gt.csv", "--grad-check"],
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_ARGS)
+def test_every_configured_command_dumps_the_same_config_and_does_no_work(
+        command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    items = {"seed": "9", "a_bus": "2"}
+    sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
+    want = dump_config(apply_updates(apply_preset(RunConfig(), "tj4d"), items))
+    assert main([command, *_COMMAND_ARGS[command], "--preset", "tj4d", *sets,
+                 "--dump-config"]) == 0
+    assert capsys.readouterr().out == want
+    assert not list(tmp_path.iterdir())
+    # selftest takes no configuration options
+    assert main(["selftest", "--dump-config"]) == 1
+    assert "unrecognized arguments: --dump-config" in capsys.readouterr().err
+
+
 def test_precedence_file_then_preset_then_set_then_flag(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("x_max = 10.0\nh = 100\nseed = 4\n")
@@ -350,6 +376,13 @@ def test_config_defaults_are_the_owning_definitions():
     assert RunConfig().bev() == DEFAULT_RANGE
     assert RunConfig().bgl_config() == BglConfig(dict(DEFAULT_A_PER_CLASS))
     assert apply_preset(RunConfig(), "vod") == RunConfig()
+    # every field reaches its view, not only the defaults
+    cfg = RunConfig(x_min=-1.0, x_max=9.0, y_min=-2.0, y_max=8.0, h=7, w=9, alpha_max=0.5,
+                    alpha_min=0.25, t_min=0.125, lambda_blur=0.75, tile_size=4,
+                    blend_order="index")
+    for view, default in ((cfg.bev(), DEFAULT_RANGE), (cfg.raster_settings(), RasterSettings())):
+        for f in dataclasses.fields(view):
+            assert getattr(view, f.name) == getattr(cfg, f.name) != getattr(default, f.name)
 
 
 def test_every_dumped_key_round_trips_through_set(capsys):
