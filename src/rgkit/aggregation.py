@@ -543,36 +543,41 @@ def gfa(cloud: PointCloud, block: AttentionBlock, mem_cap: int = DEFAULT_MEM_CAP
     rows = min(GFA_ROWS, mem_cap // (8 * n))
     if rows < 1:
         raise AllocationLimit(f"one attention score row needs {8 * n} bytes, cap is {mem_cap}")
-    proj, ln1 = block.input_proj, block.ln1
-    f1 = proj.apply(cloud.features)
-    # LN1(f1) = Z G with Z = [F / sigma, 1 / sigma, 1]: f1 minus its row mean
-    # is F (W^T - row means) + (b - mean b), an affine map of F
-    sigma = np.sqrt(np.square(f1 - f1.mean(axis=1, keepdims=True)).mean(axis=1) + ln1.eps)
-    z = np.concatenate([cloud.features, np.ones((n, 2))], axis=1)
-    z[:, :-1] /= sigma[:, None]
-    wt = np.vstack([proj.weight.T, np.zeros(block.dim) if proj.bias is None else proj.bias])
-    g = np.vstack([(wt - wt.mean(axis=1, keepdims=True)) * ln1.gamma, ln1.beta])
-    g_qkv = g @ block.qkv.weight.T
-    if block.qkv.bias is not None:
-        g_qkv[-1] += block.qkv.bias
-    g_q, g_k, g_v = np.split(g_qkv, 3, axis=1)
-    d_head = block.dim // block.n_heads
-    zt = np.ascontiguousarray(z.T)
-    scores = np.empty((rows, n))
-    heads_out = np.empty((n, block.dim))
-    for h in range(block.n_heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        # the ones column of Z makes the last column of E Z the row sums of E
-        za = z @ (g_q[:, sl] @ g_k[:, sl].T / math.sqrt(d_head))
-        for r0 in range(0, n, rows):
-            e = np.matmul(za[r0:r0 + rows], zt, out=scores[:min(rows, n - r0)])
-            e -= e.max(axis=1, keepdims=True)
-            np.exp(e, out=e)
-            ez = e @ z
-            heads_out[r0:r0 + rows, sl] = (ez @ g_v[:, sl]) / ez[:, -1:]
-    f2 = block.out_proj.apply(heads_out) + f1
-    hidden = gelu(block.ffn1.apply(block.ln2.apply(f2)))
-    return block.ffn2.apply(hidden) + f2
+    # features past ~1e154 square to inf in the layer norms: InvalidSpec, as in encode
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            proj, ln1 = block.input_proj, block.ln1
+            f1 = proj.apply(cloud.features)
+            # LN1(f1) = Z G with Z = [F / sigma, 1 / sigma, 1]: f1 minus its row mean
+            # is F (W^T - row means) + (b - mean b), an affine map of F
+            sigma = np.sqrt(np.square(f1 - f1.mean(axis=1, keepdims=True)).mean(axis=1) + ln1.eps)
+            z = np.concatenate([cloud.features, np.ones((n, 2))], axis=1)
+            z[:, :-1] /= sigma[:, None]
+            wt = np.vstack([proj.weight.T, np.zeros(block.dim) if proj.bias is None else proj.bias])
+            g = np.vstack([(wt - wt.mean(axis=1, keepdims=True)) * ln1.gamma, ln1.beta])
+            g_qkv = g @ block.qkv.weight.T
+            if block.qkv.bias is not None:
+                g_qkv[-1] += block.qkv.bias
+            g_q, g_k, g_v = np.split(g_qkv, 3, axis=1)
+            d_head = block.dim // block.n_heads
+            zt = np.ascontiguousarray(z.T)
+            scores = np.empty((rows, n))
+            heads_out = np.empty((n, block.dim))
+            for h in range(block.n_heads):
+                sl = slice(h * d_head, (h + 1) * d_head)
+                # the ones column of Z makes the last column of E Z the row sums of E
+                za = z @ (g_q[:, sl] @ g_k[:, sl].T / math.sqrt(d_head))
+                for r0 in range(0, n, rows):
+                    e = np.matmul(za[r0:r0 + rows], zt, out=scores[:min(rows, n - r0)])
+                    e -= e.max(axis=1, keepdims=True)
+                    np.exp(e, out=e)
+                    ez = e @ z
+                    heads_out[r0:r0 + rows, sl] = (ez @ g_v[:, sl]) / ez[:, -1:]
+            f2 = block.out_proj.apply(heads_out) + f1
+            hidden = gelu(block.ffn1.apply(block.ln2.apply(f2)))
+            return block.ffn2.apply(hidden) + f2
+    except FloatingPointError as exc:
+        raise InvalidSpec(f"encoding overflows float64 in the attention ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,14 @@ def test_gfa_permutation_equivariance():
     assert np.max(np.abs(gfa(shuffled, block) - out[perm])) < 1e-12
 
 
+def test_gfa_on_huge_finite_features_raises_invalid_spec():
+    # 1e200 squares to inf in the layer norm: called outside encode, gfa
+    # leaked "overflow encountered in square" and returned a NaN output
+    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]], [[1e200, 0.0], [1.0, 2.0]])
+    with pytest.raises(InvalidSpec, match="overflows float64 in the attention .overflow"):
+        gfa(cloud, init_weights(0, c_raw=2, c=8).attn)
+
+
 def test_gfa_channel_mismatch():
     cloud = generate_scene(SceneSpec(seed=0, n_points=4, c_raw=5))
     with pytest.raises(ShapeMismatch):

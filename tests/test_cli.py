@@ -181,6 +181,16 @@ def test_encode_out_of_range_setting_exits_2(tmp_path, small_cloud, capsys, sett
     assert "error: InvalidSpec" in capsys.readouterr().err
 
 
+def test_encode_negative_t_min_turns_the_early_stop_off(tmp_path, small_cloud):
+    # -1e300 overflowed the float32 cast of t_min: exit 2 with InvalidSpec
+    args = ["encode", "--cloud", str(small_cloud), "--set", "c=8", "--set", "h=32",
+            "--set", "w=32"]
+    off, neg = tmp_path / "off.rgfm", tmp_path / "neg.rgfm"
+    assert main([*args, "--out", str(off), "--set", "t_min=0"]) == 0
+    assert main([*args, "--out", str(neg), "--set", "t_min=-1e300"]) == 0
+    assert neg.read_bytes() == off.read_bytes()
+
+
 def test_encode_infinite_extent_span_exits_2(tmp_path, capsys):
     # x_max - x_min overflows to inf, so px_per_m_x was 0 and every splat sat on
     # the map's edge: exit 0 with a degenerate map

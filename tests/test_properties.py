@@ -136,19 +136,27 @@ _ENCODE_BEV = BevRange(0.0, 25.6, -12.8, 12.8, 24, 20)  # 5 x 6 tiles of 4 px, 0
 _ENCODE_PARAMS = init_weights(3, c_raw=2, c=8)
 
 
+def _encode_result(pos, feats, **settings_):
+    """The map's bytes, checked finite, or the type of the error encode raised."""
+    try:
+        fmap = encode(PointCloud(pos, feats), _ENCODE_PARAMS, _ENCODE_BEV,
+                      RasterSettings(tile_size=4, **settings_))
+    except RgkError as exc:
+        return type(exc)
+    assert fmap.data.shape == (_ENCODE_PARAMS.feature_dim, 24, 20)
+    assert np.all(np.isfinite(fmap.data))
+    return fmap.data.tobytes()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(clouds, st.sampled_from(BLEND_ORDERS), st.sampled_from([1e-4, 0.0]))
+@given(clouds, st.sampled_from(BLEND_ORDERS), st.sampled_from([1e-4, 0.0, -1.0, -1e300]))
 def test_encode_is_a_finite_map_or_a_typed_error(cloud_points, blend_order, t_min):
     pos = np.array(cloud_points, dtype=np.float64).reshape(-1, 3)
     feats = np.linspace(-1.0, 1.0, 2 * len(pos)).reshape(-1, 2)
-    settings_ = RasterSettings(t_min=t_min, tile_size=4, blend_order=blend_order)
-    try:
-        fmap = encode(PointCloud(pos, feats), _ENCODE_PARAMS, _ENCODE_BEV, settings_)
-    except RgkError:
-        return
-    assert fmap.data.shape == (_ENCODE_PARAMS.feature_dim, 24, 20)
-    assert np.all(np.isfinite(fmap.data))
+    got = _encode_result(pos, feats, t_min=t_min, blend_order=blend_order)
+    if t_min < 0:  # no early stop, as at t_min = 0: the same bytes or the same error
+        assert got == _encode_result(pos, feats, t_min=0.0, blend_order=blend_order)
 
 
 def _saved_weights() -> bytes:

@@ -286,6 +286,18 @@ def test_tiled_matches_oracle(seed):
     assert diff <= 1e-4
 
 
+@pytest.mark.parametrize("tile_size", [17, 1000])
+def test_a_tile_larger_than_the_map_reports_the_clamped_edge(tile_size):
+    # the grid is the whole map in one tile of edge max(h, w), as binning
+    # uses it; build_tile_grid reported the unclamped tile_size
+    bev = BevRange(0.0, 16.0, -8.0, 8.0, 16, 12)
+    splats = sort_splats(_random_splats(5, 40, bev))
+    grid = build_tile_grid(splats, bev, RasterSettings(tile_size=tile_size))
+    assert (grid.tile_size, grid.n_tiles_x, grid.n_tiles_y) == (16, 1, 1)
+    assert grid == build_tile_grid(splats, bev, RasterSettings(tile_size=16))
+    assert grid.tiles[0]
+
+
 def test_off_map_splats_land_in_no_tile():
     bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)  # 4 px per meter, 4 x 4 tiles
     means = ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [5.0, 1e308, 0.0],
@@ -341,6 +353,16 @@ def test_pillar_scatter_boundary_is_inside():
     cloud = PointCloud([[8.0, 4.0, 0.0]], [[7.0]])
     fmap = pillar_scatter(cloud, bev)
     assert fmap.data[0, 3, 7] == 7.0  # clamped into the last row/column
+
+
+@pytest.mark.parametrize("features", [[[3e38], [3e38]], [[1e200], [0.0]],
+                                      [[1.7e308], [1.7e308]]])
+def test_pillar_sums_past_float32_raise_invalid_spec(features):
+    # two points in one pixel: a sum past float32 leaked "overflow encountered
+    # in cast", and one past float64 wrote inf without a word
+    cloud = PointCloud([[1.5, 1.5, 0.0], [1.5, 1.5, 0.0]], features)
+    with pytest.raises(InvalidSpec, match="pillar sums of channel 0 overflow float32"):
+        pillar_scatter(cloud, BevRange(0.0, 4.0, 0.0, 4.0, 4, 4))
 
 
 def test_nonzero_pixels_counts_any_channel():
@@ -1222,3 +1244,17 @@ def test_pgm_export(tmp_path):
     assert flat.read_bytes().endswith(bytes([0, 0]))
     with pytest.raises(InvalidSpec):
         write_pgm(BevFeatureMap(data, bev), 1, path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_pgm_export_refuses_a_non_finite_channel_before_opening_the_file(tmp_path, value):
+    # +-inf leaked RuntimeWarnings in the min-max scale, and NaN wrote an
+    # all-black image; the other channel still exports
+    data = np.array([[[1.0, 3.0]], [[1.0, value]]], dtype=np.float32)
+    fmap = BevFeatureMap(data, BevRange(0.0, 2.0, 0.0, 1.0, 1, 2))
+    path = tmp_path / "m.pgm"
+    with pytest.raises(InvalidSpec, match="channel 1 holds a non-finite value"):
+        write_pgm(fmap, 1, path)
+    assert not path.exists()
+    write_pgm(fmap, 0, path)
+    assert path.read_bytes().endswith(bytes([0, 255]))
