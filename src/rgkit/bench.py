@@ -30,7 +30,7 @@ from .aggregation import (
     lfa_traversal,
     traversal_mem_bytes,
 )
-from .config import DEFAULT_MEM_CAP, DEFAULT_RADIUS
+from .config import DEFAULT_DIM, DEFAULT_MEM_CAP, DEFAULT_RADIUS
 from .errors import AllocationLimit, InvalidSpec
 from .pointcloud import PointCloud, SceneSpec, generate_scene
 
@@ -84,7 +84,7 @@ def run_bench(
     n_list,
     *,
     c_raw: int = 4,
-    c: int = 64,
+    c: int = DEFAULT_DIM,
     r: float = DEFAULT_RADIUS,
     reps: int = 5,
     seed: int = 0,
@@ -123,7 +123,7 @@ def run_bench(
                                      float("nan"), est, "-", "OOM-guard", float("nan")))
                 continue
             diff = float(np.max(np.abs(out - reference))) if n else 0.0
-            if diff > GATE_TOL:
+            if not diff <= GATE_TOL:  # a NaN fails too
                 gate_passed = False
                 rows.append(BenchRow(name, n, 0, float("nan"), float("nan"),
                                      float("nan"), est, _checksum(out), "gate-failed", diff))

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # the settings live in config; both names stay importable from here
-from .config import DEFAULT_A_PER_CLASS, BglConfig
+from .config import DEFAULT_A_PER_CLASS, BglConfig, _one_field
 from .errors import (
     EmptyBatch,
     FormatError,
@@ -248,6 +248,10 @@ def bgl_gradient(pred: Box3D, gt: Box3D, a: float) -> Array:
     return _finite_gradient(_kl_and_gradient(_clamped(pred), _clamped(gt), a, math, bool)[1])
 
 
+#: Largest tolerated relative error of the analytic gradient against :func:`fd_gradient`.
+GRAD_CHECK_TOL = 1e-4
+
+
 def fd_gradient(pred: Box3D, gt: Box3D, a: float, step: float = 1e-5) -> Array:
     """Central-difference gradient of the pair divergence, for verifying
     the analytic gradient at runtime (``rgk bgl --grad-check``)."""
@@ -271,9 +275,14 @@ def fd_gradient(pred: Box3D, gt: Box3D, a: float, step: float = 1e-5) -> Array:
 def write_boxes(
     boxes: Sequence[Box3D], path, classes: Optional[Sequence[str]] = None
 ) -> None:
-    """Write boxes as CSV (header ``x,y,z,l,w,h,theta[,class]``)."""
+    """Write boxes as CSV (header ``x,y,z,l,w,h,theta[,class]``); a class that
+    :func:`read_boxes` would not read back raises InvalidSpec first."""
     if classes is not None and len(classes) != len(boxes):
         raise LengthMismatch(f"{len(classes)} classes vs {len(boxes)} boxes")
+    for cls in classes if classes is not None else ():
+        if not _one_field(str(cls), ","):
+            raise InvalidSpec(f"class {cls!r}: a class must be one line of UTF-8 text "
+                              "without ',' or surrounding blanks")
     header = ",".join(_COLUMNS) + (",class" if classes is not None else "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")

@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .boxloss import _finite_gradient, _pair_terms, fd_gradient, read_boxes
+from .boxloss import GRAD_CHECK_TOL, _finite_gradient, _pair_terms, fd_gradient, read_boxes
 from .config import (
     PRESETS,
     RunConfig,
@@ -40,9 +40,6 @@ from .config import (
     load_config,
 )
 from .errors import FormatError, InvalidSpec, RgkError
-
-#: Largest tolerated relative error in the runtime gradient check.
-GRAD_CHECK_TOL = 1e-4
 
 
 class _UsageError(Exception):

@@ -254,12 +254,18 @@ def _coerce(key: str, kind: type, value: str):
         raise InvalidSpec(f"config key {key!r}: bad value {value!r}") from None
 
 
+def _one_field(text: str, sep: str) -> bool:
+    """Whether ``text`` reads back from a UTF-8 line split at ``sep`` and stripped:
+    no ``sep``, line break, surrounding blank or surrogate (UTF-8 has none)."""
+    return (text == text.strip() and sep not in text and len(text.splitlines()) <= 1
+            and not any("\ud800" <= ch <= "\udfff" for ch in text))
+
+
 def _class_name(key: str) -> str:
     """The class of an ``a_<class>`` key, if ``dump_config`` can write it
     back as one UTF-8 config line that parses to the same key."""
     cls = key[2:]
-    one_line = cls == cls.strip() and "=" not in cls and len(cls.splitlines()) == 1
-    if not one_line or any("\ud800" <= ch <= "\udfff" for ch in cls):
+    if not _one_field(cls, "="):
         raise InvalidSpec(f"config key {key!r}: a class name must be one line of UTF-8 text "
                           "without '=' or surrounding blanks")
     return cls

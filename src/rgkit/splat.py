@@ -95,9 +95,11 @@ The blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
 ``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
 summed in the formula's order.  Rows unused at every pixel of a group
 only multiply T by 1 and add +0, so they are left out of the ``einsum``.
-:func:`project_to_bev`, :func:`sort_splats`, :func:`build_tile_grid` and
-:func:`rasterize` take per-splat objects (:class:`Splat2D`) and are thin
-adapters over the same kernels.
+The float64 oracle :func:`rasterize_oracle` takes the compositing's
+blend-ordered arrays.  :func:`project_to_bev`, :func:`sort_splats`,
+:func:`build_tile_grid` and :func:`rasterize` take per-splat objects
+(:class:`Splat2D`), thin adapters over the same kernels kept only because
+``perfbench`` calls them; they go once it runs on the arrays.
 
 Feature-map files use the ``RGFM`` format: magic, u32 version (=1),
 u32 C, u32 H, u32 W, the four range extents as little-endian float64,
@@ -246,7 +248,7 @@ def _project(means: Array, scales: Array, quats: Array, bev: BevRange, lambda_bl
 def project_to_bev(
     g: GaussianPrimitive3D,
     bev: BevRange,
-    lambda_blur: float = 0.3,
+    lambda_blur: float = RasterSettings.lambda_blur,
     source_index: int = 0,
 ) -> Splat2D:
     """Project one 3D Gaussian onto the BEV pixel plane."""
@@ -277,7 +279,7 @@ def _blend_order(z: Array, src: Array, blend_order: str) -> Array:
     return np.lexsort(keys[blend_order])
 
 
-def sort_splats(splats: list, blend_order: str = "z-asc") -> list:
+def sort_splats(splats: list, blend_order: str = RasterSettings.blend_order) -> list:
     """Order splats for compositing; ties always fall back to source index."""
     z, src = _columns(splats, "blend_key", 2).T
     return [splats[i] for i in _blend_order(z, src, blend_order)]
@@ -401,20 +403,6 @@ def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings
     for j, t in enumerate(tiles.tolist()):
         lists[t] = rows[starts[j]:starts[j + 1]].tolist()
     return TileGrid(ts, ntx, nty, tuple(lists))
-
-
-def _check_splats(splats: list, channels) -> int:
-    widths = {s.features.shape[0] for s in splats}
-    if len(widths) > 1:
-        raise ShapeMismatch(f"splats disagree on feature length: {sorted(widths)}")
-    if channels is None:
-        if not widths:
-            raise InvalidSpec("channel count required when rasterizing no splats")
-        return widths.pop()
-    channels = int(channels)
-    if widths and widths != {channels}:
-        raise ShapeMismatch(f"splat features have {widths.pop()} channels, expected {channels}")
-    return channels
 
 
 def _blend_sum(feats: Array, weights: Array) -> Array:
@@ -574,37 +562,38 @@ def rasterize(
     compositing workers follow the CPUs the process may run on, and the
     map does not depend on their number."""
     settings = settings or RasterSettings()
-    channels = _check_splats(splats, channels)
+    widths = {s.features.shape[0] for s in splats}
+    if len(widths) > 1:
+        raise ShapeMismatch(f"splats disagree on feature length: {sorted(widths)}")
+    if channels is None and not widths:
+        raise InvalidSpec("channel count required when rasterizing no splats")
+    channels = widths.pop() if channels is None else int(channels)
+    if widths and widths != {channels}:
+        raise ShapeMismatch(f"splat features have {widths.pop()} channels, expected {channels}")
     order = sort_splats(splats, settings.blend_order)
     features = _columns(order, "features", channels)
     return _composite(*_splat_arrays(order), features, bev, settings)
 
 
-def rasterize_oracle(
-    splats: list,
-    bev: BevRange,
-    channels: int | None = None,
-    settings: RasterSettings | None = None,
-) -> BevFeatureMap:
-    """Brute-force reference: every splat evaluated at every pixel in
-    float64, same clamp and skip threshold, no tiles, no early stop."""
+def rasterize_oracle(mean2d, inv, opacity, features, bev: BevRange,
+                     settings: RasterSettings | None = None) -> BevFeatureMap:
+    """Brute-force reference: splats given in blend order as :func:`_composite`
+    takes them (means (N, 2), inverses (N, 3) as (a, b, c), opacities (N,)
+    and features (N, C)), each evaluated at every pixel in float64, same
+    clamp and skip threshold, no tiles, no early stop."""
     settings = settings or RasterSettings()
-    channels = _check_splats(splats, channels)
-    acc = np.zeros((channels, bev.h, bev.w))
+    acc = np.zeros((features.shape[1], bev.h, bev.w))
     transmit = np.ones((bev.h, bev.w))
     xg = (np.arange(bev.w) + 0.5)[None, :]
     yg = (np.arange(bev.h) + 0.5)[:, None]
-    for s in sort_splats(splats, settings.blend_order):
-        dx = xg - s.mean2d[0]
-        dy = yg - s.mean2d[1]
-        ia = s.cov2d_inv[0, 0]
-        ib = s.cov2d_inv[0, 1]
-        ic = s.cov2d_inv[1, 1]
+    for (mx, my), (ia, ib, ic), o, f in zip(mean2d, inv, opacity, features, strict=True):
+        dx = xg - mx
+        dy = yg - my
         q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
-        alpha = np.minimum(s.opacity * np.exp(-0.5 * q), settings.alpha_max)
+        alpha = np.minimum(o * np.exp(-0.5 * q), settings.alpha_max)
         use = alpha >= settings.alpha_min
         weight = np.where(use, alpha * transmit, 0.0)
-        acc += s.features[:, None, None] * weight
+        acc += f[:, None, None] * weight
         transmit = np.where(use, transmit * (1.0 - alpha), transmit)
     return BevFeatureMap(acc.astype(np.float32), bev)
 

@@ -242,7 +242,7 @@ def test_gradient_matches_finite_differences():
         analytic = bgl_gradient(pred, gt, a=1.0)
         numeric = fd_gradient(pred, gt, a=1.0, step=1e-5)
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-        worst = max(worst, float(np.max(rel)))
+        worst = np.maximum(worst, np.max(rel))  # a NaN stays, where max would drop it
     assert worst <= 1e-6  # typical agreement is ~1e-9
 
 
@@ -500,6 +500,21 @@ def test_boxes_io_validation(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError):
             read_boxes(path)
+
+
+@pytest.mark.parametrize("cls", ["a,b", "x\ny", "car\r", "a\u2028b", "a\x1cb", " car", "car\t",
+                                 "\ud800"])
+def test_a_class_that_would_not_read_back_is_refused_before_the_file_opens(tmp_path, cls):
+    path = tmp_path / "boxes.csv"
+    with pytest.raises(InvalidSpec):
+        write_boxes([Box3D(0, 0, 0, 1, 1, 1, 0)] * 2, path, classes=["car", cls])
+    assert not path.exists()
+
+
+def test_odd_but_one_field_classes_read_back(tmp_path):
+    names = ["", "bus stop", "a=b", "é", "#1"]
+    write_boxes([Box3D(0, 0, 0, 1, 1, 1, 0)] * len(names), tmp_path / "b.csv", classes=names)
+    assert read_boxes(tmp_path / "b.csv")[1] == names
 
 
 def test_non_utf8_box_file_is_a_format_error(tmp_path):

@@ -449,6 +449,18 @@ def test_bench_small_run(tmp_path, capsys):
     assert len(lines) == 1 + 6  # three implementations at two sizes
 
 
+def test_a_nan_lfa_fails_the_bench_gate(monkeypatch, capsys):
+    from rgkit import bench
+
+    scatter = bench.lfa_index_scatter
+    monkeypatch.setattr(bench, "lfa_index_scatter", lambda *args: scatter(*args) * np.nan)
+    report = bench.run_bench([20], reps=1)
+    assert report.gate_passed is False
+    assert [row.status for row in report.rows] == ["ok", "ok", "gate-failed"]
+    assert main(["bench-lfa", "--n", "20", "--reps", "1"]) == 4
+    assert "GATE FAILED" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("reps", ["0", "-2"])
 def test_bench_rejects_fewer_than_one_rep(reps, capsys):
     assert main(["bench-lfa", "--n", "20", "--reps", reps]) == 2
@@ -713,3 +725,13 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_a_nan_gradient_fails_the_selftest(monkeypatch):
+    from rgkit.selftest import run_selftest
+
+    monkeypatch.setattr(boxloss, "bgl_gradient", lambda pred, gt, a: np.full(7, np.nan))
+    lines = []
+    assert not run_selftest(lines.append)
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL bgl-gradient"]

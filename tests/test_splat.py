@@ -90,6 +90,14 @@ def _random_splats(seed, count, bev, channels=3):
     return out
 
 
+def oracle_of_splats(splats, bev, channels, settings):
+    """:func:`rasterize_oracle` of per-object splats, put in blend order."""
+    order = sort_splats(splats, settings.blend_order)
+    mean2d, _, inv, opacity = _splat_arrays(order)
+    return rasterize_oracle(mean2d, inv, opacity, _columns(order, "features", channels), bev,
+                            settings)
+
+
 # ---------------------------------------------------------------------------
 # Projection
 
@@ -235,7 +243,7 @@ def test_narrow_edge_tiles_match_oracle():
     splats = _random_splats(64, 80, bev)
     settings = RasterSettings(t_min=0.0)
     tiled = rasterize(splats, bev, channels=3, settings=settings)
-    oracle = rasterize_oracle(splats, bev, channels=3, settings=settings)
+    oracle = oracle_of_splats(splats, bev, 3, settings)
     assert np.count_nonzero(tiled.data[:, 32:, :]) > 0
     assert np.count_nonzero(tiled.data[:, :, 32:]) > 0
     diff = np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64)))
@@ -254,7 +262,7 @@ def test_deep_tile_stack_matches_oracle():
     settings = RasterSettings(t_min=0.0)
     assert max(len(t) for t in build_tile_grid(sort_splats(splats), SMALL, settings).tiles) >= 300
     tiled = rasterize(splats, SMALL, channels=2, settings=settings)
-    oracle = rasterize_oracle(splats, SMALL, channels=2, settings=settings)
+    oracle = oracle_of_splats(splats, SMALL, 2, settings)
     diff = np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64)))
     assert diff <= 1e-4
 
@@ -281,8 +289,24 @@ def test_tiled_matches_oracle(seed):
     splats = _random_splats(seed, 150, bev)
     settings = RasterSettings(t_min=0.0)
     tiled = rasterize(splats, bev, channels=3, settings=settings)
-    oracle = rasterize_oracle(splats, bev, channels=3, settings=settings)
+    oracle = oracle_of_splats(splats, bev, 3, settings)
     diff = np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64)))
+    assert diff <= 1e-4
+
+
+def test_encode_matches_the_oracle_on_its_own_blend_ordered_arrays(monkeypatch):
+    bev = BevRange(0.0, 16.0, -8.0, 8.0, 48, 40)
+    cloud = generate_scene(SceneSpec(seed=66, n_points=60, bev=bev))
+    params = init_weights(66, c_raw=cloud.c_raw, c=8)
+    settings = RasterSettings(t_min=0.0)
+    composite, seen = splat_module._composite, []
+    monkeypatch.setattr(splat_module, "_composite",
+                        lambda *args: seen.append(args) or composite(*args))
+    fmap = encode(cloud, params, bev, settings)
+    mean2d, _, inv, opacity, feats = seen[0][:5]
+    oracle = rasterize_oracle(mean2d, inv, opacity, feats, bev, settings)
+    assert nonzero_pixels(fmap) > bev.h * bev.w // 4
+    diff = np.max(np.abs(fmap.data.astype(np.float64) - oracle.data.astype(np.float64)))
     assert diff <= 1e-4
 
 
