@@ -109,14 +109,14 @@ DEFAULT_RANGE = BevRange(x_min=0.0, x_max=51.2, y_min=-25.6, y_max=25.6, h=320, 
 
 @dataclass(frozen=True)
 class RasterSettings:
-    """Thresholds and scheduling knobs of the rasterizer."""
+    """Thresholds, blur and blend order of the rasterizer; tiles are a fixed 16 px."""
 
     alpha_max: float = 0.99
     alpha_min: float = 1.0 / 255.0
     t_min: float = 1e-4
     lambda_blur: float = 0.3
-    tile_size: int = 16
     blend_order: str = "z-asc"
+    tile_size: typing.ClassVar[int] = 16
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha_max <= 1.0:
@@ -130,8 +130,6 @@ class RasterSettings:
             raise InvalidSpec(f"lambda_blur must be finite and >= 0, got {self.lambda_blur}")
         if not (math.isfinite(self.t_min) and self.t_min < 1.0):
             raise InvalidSpec(f"t_min must be finite and < 1 (<= 0 disables), got {self.t_min}")
-        if self.tile_size < 1:
-            raise InvalidSpec(f"tile_size must be >= 1, got {self.tile_size}")
         if self.blend_order not in BLEND_ORDERS:
             raise InvalidSpec(
                 f"blend_order must be one of {BLEND_ORDERS}, got {self.blend_order!r}"
@@ -179,7 +177,6 @@ class RunConfig:
     alpha_min: float = RasterSettings.alpha_min
     t_min: float = RasterSettings.t_min
     lambda_blur: float = RasterSettings.lambda_blur
-    tile_size: int = RasterSettings.tile_size
     blend_order: str = RasterSettings.blend_order
     a_default: float = BglConfig.a_default
     a_per_class: dict = field(default_factory=lambda: dict(DEFAULT_A_PER_CLASS))

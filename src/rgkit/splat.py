@@ -27,19 +27,19 @@ splats with ``alpha < alpha_min`` are skipped, the rest accumulate
 over the splats used before ``i``; once ``T`` would drop below ``t_min``
 the pixel stops early, without that splat (``t_min <= 0`` disables this).
 
-Splats are binned to every tile whose rectangle of pixel centres brings
+Splats are binned to every 16 x 16 px tile, the fixed edge of 3D Gaussian
+Splatting (Kerbl et al., 2023), whose rectangle of pixel centres brings
 ``d^T cov2d_inv d`` down to ``2 ln(opacity / alpha_min)`` (plus a float64
 margin), the exact ellipse-tile test of FlashGS (Feng et al., 2024): the
 minimum is 0 with the mean inside, else the least of four clamped 1-D edge
 minima.  Binning is lossless, so tiles match the brute force
 (:func:`rasterize_oracle`) up to 32- vs 64-bit rounding.  Each tile is
 composited front to back with array operations over all its rows, as in
-3D Gaussian Splatting (Kerbl et al., 2023): one float32 ``cumprod`` of
-``1 - alpha`` over the tile's rows for T, the early stop as the mask
-``T_after >= max(t_min, 0)`` (T never increases and stays in [0, 1], so
-the mask keeps every entry at ``t_min <= 0``), and one ``einsum``
-that adds the splats in order in float32 at every tile and channel count,
-without BLAS, so the map does not depend on BLAS threading.
+3DGS: one float32 ``cumprod`` of ``1 - alpha`` over the tile's rows for T,
+the early stop as the mask ``T_after >= max(t_min, 0)`` (T never increases
+and stays in [0, 1], so the mask keeps every entry at ``t_min <= 0``), and
+one ``einsum`` that adds the splats in order in float32 at every tile and
+channel count, without BLAS, so the map does not depend on BLAS threading.
 
 Tiles are composited by W workers, the calling thread and W - 1 threads
 started for the call and joined before it returns, which take the
@@ -90,7 +90,7 @@ and its adjugate inverse as (N, 3), the top-left 2 x 2 of Sigma summed
 elementwise from rows 0 and 1 of R S, not by a matmul; an ``np.lexsort``
 into blend order; binning, which culls splats below ``alpha_min`` or
 wholly off the map before any ``int`` conversion and spreads the rest
-over their coverage discs' tile spans by ``np.repeat`` for the exact test.
+over the tiles their ellipses span by ``np.repeat`` for the exact test.
 The blend's quadratic is separable: ``(ia dx) dx`` per (splat, column),
 ``(ic dy) dy`` per (splat, row) and only ``(2 ib)(dy dx)`` per pixel,
 summed in the formula's order.  Rows unused at every pixel of a group
@@ -312,10 +312,9 @@ def _fill_holes(out: Array) -> None:
             pass
 
 
-def _tile_grid(bev: BevRange, settings: RasterSettings) -> tuple:
-    """The tile edge in pixels and the tile counts across and down: a tile
-    larger than the map is the whole map."""
-    ts = min(settings.tile_size, max(bev.h, bev.w))
+def _tile_grid(bev: BevRange) -> tuple:
+    """The tile edge in pixels and the tile counts across and down."""
+    ts = RasterSettings.tile_size
     return ts, (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
 
 
@@ -328,25 +327,29 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
     The (splat, tile) candidates are spread and tested in blocks of as many
     as ``min(mem_cap, BLOCK_BYTES)`` holds at :data:`BIN_CANDIDATE_BYTES`
     each."""
-    ts, ntx, nty = _tile_grid(bev, settings)
+    ts, ntx, nty = _tile_grid(bev)
     a, b, c = cov2d.T
     mx, my = mean2d.T
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mid = 0.5 * (a + c)
-        lam_max = mid + np.sqrt(np.maximum(mid * mid - (a * c - b * b), 0.0))
-        # alpha >= alpha_min exactly where d^T inv d <= k2
         k2 = 2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min)
-        r = np.sqrt(np.maximum(k2, 9.0)) * np.sqrt(np.maximum(lam_max, 0.0))
+        # alpha >= alpha_min exactly where q = d^T inv d <= k2.  For a positive definite inv,
+        # q >= u^2 / a and q >= v^2 / c, so past the span of q <= k2 (1 + 2e-9) + 1e-9, q tops k2
+        # plus the exact test's margin, 1e-12 (1 + k2 + ia u^2 + ic v^2) <= 1e-12 (1 + k2 + q /
+        # (1 - |b| / sqrt(ac))), while |b| / sqrt(ac) < 0.999; the half pixel to the next pixel
+        # centre adds 1 / (4a).  Any other inv keeps the 3DGS disc: the test keeps all its pairs.
+        lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        disc = np.sqrt(np.maximum(k2, 9.0)) * np.sqrt(np.maximum(lam_max, 0.0))
+        ellipse = (inv[:, 0] > 0) & (inv[:, 2] > 0)
+        rx, ry = (np.where(ellipse, np.sqrt((k2 * (1 + 2e-9) + 1e-9) * v), disc) for v in (a, c))
         # written so that NaN fails: the culls come before any int conversion
-        keep = (opacity >= settings.alpha_min) & (mx + r >= 0) & (my + r >= 0)
-        idx = np.flatnonzero(keep & (mx - r < bev.w) & (my - r < bev.h))
-        mx, my, r, inv, k2 = mx[idx], my[idx], r[idx], inv[idx], k2[idx]
+        keep = (opacity >= settings.alpha_min) & (mx + rx >= 0) & (my + ry >= 0)
+        idx = np.flatnonzero(keep & (mx - rx < bev.w) & (my - ry < bev.h))
+        mx, my, rx, ry, inv, k2 = mx[idx], my[idx], rx[idx], ry[idx], inv[idx], k2[idx]
         tx0, tx1, ty0, ty1 = (
             np.clip(np.floor(v / ts), 0, n - 1).astype(np.int64)
-            for v, n in ((mx - r, ntx), (mx + r, ntx), (my - r, nty), (my + r, nty))
+            for v, n in ((mx - rx, ntx), (mx + rx, ntx), (my - ry, nty), (my + ry, nty))
         )
-        # candidates: every tile the coverage disc touches, numbered splat by
-        # splat and spread in blocks
+        # candidates: every tile in the span, numbered splat by splat, spread in blocks
         nx = tx1 - tx0 + 1
         counts = nx * (ty1 - ty0 + 1)
         ends = np.cumsum(counts)
@@ -396,9 +399,8 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
 def build_tile_grid(sorted_splats: list, bev: BevRange, settings: RasterSettings) -> TileGrid:
     """Bin blend-sorted splats into every tile where their alpha can reach
     ``alpha_min``; splats below it or wholly off the map are binned nowhere."""
-    mean2d, cov2d, inv, opacity = _splat_arrays(sorted_splats)
-    rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings)
-    ts, ntx, nty = _tile_grid(bev, settings)
+    rows, tiles, starts = _bin(*_splat_arrays(sorted_splats), bev, settings)
+    ts, ntx, nty = _tile_grid(bev)
     lists = [[] for _ in range(ntx * nty)]
     for j, t in enumerate(tiles.tolist()):
         lists[t] = rows[starts[j]:starts[j + 1]].tolist()
@@ -478,7 +480,7 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
     out = _zero_map(features.shape[1], bev)
     rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
     feats32 = features.astype(np.float32, copy=False)
-    ts, ntx, _ = _tile_grid(bev, settings)
+    ts, ntx, _ = _tile_grid(bev)
     depth = np.diff(starts)
     deepest = int(depth.max(initial=0))
     if BLEND_ENTRY_BYTES * deepest > mem_cap:
@@ -608,14 +610,14 @@ def encode(
 ) -> BevFeatureMap:
     """Full encoder: local + global aggregation, attribute prediction,
     projection, and tiled rasterization.  ``threads`` is accepted and
-    ignored: the compositing workers follow the CPUs the process may run
-    on, and the map does not depend on their number.  ``mem_cap`` bounds
-    the neighbour pairs, the attention score block, binning's (splat, tile)
+    ignored: the compositing workers follow the CPUs the process may run on,
+    and the map does not depend on their number.  ``mem_cap`` bounds the
+    neighbour pairs, the attention score block, binning's (splat, tile)
     candidates tested at once and the sum of every worker's per-pixel blend
-    buffers, but neither the (splat, tile) hits binning keeps nor the time:
-    at 4 MiB, 2 500 points in 5 clusters on the ``tj4d`` map keep 409 k hits
-    (18.0 MB traced, 7.1 s) at ``s_min`` 5 and 2.09 M (85.3 MB, 91 s) at
-    ``s_min`` 50.  An overflow that no stage expects raises InvalidSpec."""
+    buffers, but not the attention's (N, 2c) FFN arrays, the (splat, tile)
+    hits binning keeps or the time: at 4 MiB, 2 500 points in 5 clusters on
+    the ``tj4d`` map keep 409 k hits (18.0 MB traced, 7.1 s) at ``s_min`` 5
+    and 2.09 M (85.3 MB, 91 s) at 50.  An unexpected overflow raises InvalidSpec."""
     settings = settings or RasterSettings()
     # raw features past ~1e154 square to inf in the layer norms and would
     # end in a NaN map or an unrelated error; where a stage expects an

@@ -844,6 +844,16 @@ def test_load_weights_raises_a_typed_error_for_a_bad_tensor(tmp_path, case):
         load_weights(path)
 
 
+@pytest.mark.parametrize("name", ["gfa.ffn2.weight", "gfa.ln1.eps", "meta.n_heads"])
+def test_load_weights_rejects_a_file_missing_a_tensor(tmp_path, name):
+    named = _named_tensors(init_weights(0, c_raw=4, c=8))
+    del named[name]
+    path = tmp_path / "short.rgwt"
+    path.write_bytes(_rgwt(named))
+    with pytest.raises(FormatError, match=f"missing tensor '{name}'"):
+        load_weights(path)
+
+
 @pytest.mark.parametrize("dims", [(65536,) * 4, (1 << 20,) * 3, (1 << 31,), (2, 500)],
                          ids=["four-65536s", "2^60-values", "16-GiB", "one-value-too-many"])
 def test_load_weights_rejects_dims_beyond_the_bytes_left(tmp_path, dims):

@@ -6,9 +6,11 @@ import dataclasses
 import io
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -174,11 +176,13 @@ def test_encode_non_finite_row_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("setting", ["s_min=nan", "lambda_blur=nan", "t_min=nan", "t_min=2",
-                                     "s_min=inf", "lambda_blur=inf"])
+                                     "s_min=inf", "lambda_blur=inf", "alpha_max=0",
+                                     "alpha_max=1.5", "alpha_min=0", "alpha_min=1", "mem_cap=-1"])
 def test_encode_out_of_range_setting_exits_2(tmp_path, small_cloud, capsys, setting):
     assert main(["encode", "--cloud", str(small_cloud), "--out", str(tmp_path / "m.rgfm"),
                  "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", setting]) == 2
-    assert "error: InvalidSpec" in capsys.readouterr().err
+    key = setting.split("=")[0]
+    assert f"error: InvalidSpec: {key} must be" in capsys.readouterr().err
 
 
 def test_encode_negative_t_min_turns_the_early_stop_off(tmp_path, small_cloud):
@@ -257,25 +261,14 @@ def test_encode_map_beyond_the_map_cap_exits_3(tmp_path, small_cloud, capsys):
     assert "cap is 1073741824" in err and not out.exists()
 
 
-@pytest.mark.parametrize("tile_size", ["64", "100000", str(2 ** 40), str(2 ** 64)])
-def test_encode_tile_larger_than_the_map_is_one_tile(tmp_path, small_cloud, tile_size):
-    # per-pixel buffers were sized tile_size^2 per splat (a raw MemoryError or
-    # ValueError), and past 2^63 the tile origins overflowed int64
-    args = ["encode", "--cloud", str(small_cloud), "--set", "c=8", "--set", "h=16",
-            "--set", "w=16"]
-    one, big = tmp_path / "one.rgfm", tmp_path / "big.rgfm"
-    assert main([*args, "--out", str(one), "--set", "tile_size=16"]) == 0
-    assert main([*args, "--out", str(big), "--set", f"tile_size={tile_size}"]) == 0
-    assert big.read_bytes() == one.read_bytes()
-
-
-def test_encode_blend_buffers_beyond_mem_cap_exit_3(tmp_path, small_cloud, capsys):
+def test_encode_blend_buffers_beyond_mem_cap_exit_3(tmp_path, small_cloud, capsys, monkeypatch):
     # one 64 x 64 tile holds all 80 splats: 80 * 17 = 1360 bytes of blend
     # buffers a pixel.  Only the fixed 1 GiB map cap used to bound them, and
     # encode exited 0; every other stage fits 1000 bytes (a score row is 640)
+    monkeypatch.setattr(RasterSettings, "tile_size", 64)
     out = tmp_path / "m.rgfm"
     args = ["encode", "--cloud", str(small_cloud), "--out", str(out), "--set", "c=16",
-            "--set", "h=64", "--set", "w=64", "--set", "tile_size=64"]
+            "--set", "h=64", "--set", "w=64"]
     assert main(args + ["--set", "mem_cap=1000"]) == 3
     err = capsys.readouterr().err
     assert "error: AllocationLimit: one pixel's blend buffers in a tile of 80 splats need 1360 " \
@@ -366,6 +359,43 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+def test_the_tile_edge_is_no_config_key(tmp_path, small_cloud, capsys):
+    # tiles are a fixed 16 px; a file from an older --dump-config must drop
+    # its tile_size = 16 line
+    assert RasterSettings().tile_size == 16
+    with pytest.raises(TypeError):
+        RasterSettings(tile_size=8)
+    assert "tile_size" not in {f.name for f in dataclasses.fields(RunConfig)}
+    assert "tile_size" not in dump_config(RunConfig())
+    old_dump = tmp_path / "old.cfg"
+    old_dump.write_text(dump_config(RunConfig()) + "tile_size = 16\n")
+    out = tmp_path / "m.rgfm"
+    for how in (["--config", str(old_dump)], ["--set", "tile_size=16"]):
+        assert main(["encode", "--cloud", str(small_cloud), "--out", str(out), *how]) == 2
+        assert "error: InvalidSpec: unknown config key 'tile_size'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unknown_preset_is_refused():
+    # the CLI offers only the preset names; a library caller reaches the check
+    with pytest.raises(InvalidSpec, match="unknown preset 'kitti'"):
+        apply_preset(RunConfig(), "kitti")
+
+
+def test_readme_config_keys_are_the_dumped_keys():
+    # each bullet of the section names its keys in backticks before a colon
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Configuration keys\n", 1)[1].split("\n#", 1)[0]
+    heads = [line.split(":", 1)[0] for line in section.splitlines() if line.startswith("- `")]
+    listed = [key for head in heads for key in re.findall(r"`([^`]+)`", head)]
+    per_class = {f"a_{cls}" for cls in RunConfig().a_per_class}
+    dumped = [line.split(" = ")[0] for line in dump_config(RunConfig()).splitlines()]
+    assert sorted(listed) == sorted([k for k in dumped if k not in per_class] + ["a_<class>"])
+    integers = re.search(r"integer keys `([^`]+)`", section).group(1).split()
+    hints = typing.get_type_hints(RunConfig)
+    assert sorted(integers) == sorted(k for k in dumped if hints.get(k) is int)
+
+
 def test_non_utf8_config_file_exits_2(tmp_path, capsys):
     # it died with a raw UnicodeDecodeError, exit 1
     cfg_file = tmp_path / "bad.cfg"
@@ -388,8 +418,7 @@ def test_config_defaults_are_the_owning_definitions():
     assert apply_preset(RunConfig(), "vod") == RunConfig()
     # every field reaches its view, not only the defaults
     cfg = RunConfig(x_min=-1.0, x_max=9.0, y_min=-2.0, y_max=8.0, h=7, w=9, alpha_max=0.5,
-                    alpha_min=0.25, t_min=0.125, lambda_blur=0.75, tile_size=4,
-                    blend_order="index")
+                    alpha_min=0.25, t_min=0.125, lambda_blur=0.75, blend_order="index")
     for view, default in ((cfg.bev(), DEFAULT_RANGE), (cfg.raster_settings(), RasterSettings())):
         for f in dataclasses.fields(view):
             assert getattr(view, f.name) == getattr(cfg, f.name) != getattr(default, f.name)
@@ -397,7 +426,7 @@ def test_config_defaults_are_the_owning_definitions():
 
 def test_every_dumped_key_round_trips_through_set(capsys):
     cfg = RunConfig(seed=5, r=0.5, c=32, n_heads=4, mem_cap=2**20, h=100, w=120,
-                    alpha_min=0.01, tile_size=8, blend_order="index", a_default=0.5)
+                    alpha_min=0.01, blend_order="index", a_default=0.5)
     cfg.a_per_class["bus"] = 2.5
     text = dump_config(cfg)
     sets = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "="))]
@@ -409,8 +438,8 @@ def test_every_dumped_key_round_trips_through_set(capsys):
         assert type(getattr(parsed, f.name)) is type(getattr(RunConfig(), f.name)), f.name
     assert parsed.blend_order == "index" and type(parsed.a_per_class["bus"]) is float
     # an int key takes no float text
-    assert main(["generate", "--out", "x", "--n", "1", "--set", "tile_size=8.0"]) == 2
-    assert "config key 'tile_size': bad value '8.0'" in capsys.readouterr().err
+    assert main(["generate", "--out", "x", "--n", "1", "--set", "h=8.0"]) == 2
+    assert "config key 'h': bad value '8.0'" in capsys.readouterr().err
 
 
 def test_malformed_set_fails(capsys):
@@ -465,6 +494,24 @@ def test_a_nan_lfa_fails_the_bench_gate(monkeypatch, capsys):
 def test_bench_rejects_fewer_than_one_rep(reps, capsys):
     assert main(["bench-lfa", "--n", "20", "--reps", reps]) == 2
     assert capsys.readouterr().err == f"error: InvalidSpec: reps must be >= 1, got {reps}\n"
+
+
+def test_bench_rejects_a_point_list_that_is_not_integers(capsys):
+    assert main(["bench-lfa", "--n", "1,x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: InvalidSpec: --n expects comma-separated integers, got '1,x'\n")
+
+
+def test_bench_reports_an_implementation_over_mem_cap_as_a_guarded_row(capsys):
+    from rgkit import bench
+
+    report = bench.run_bench([200], reps=1, mem_cap=1000)
+    assert [(row.name, row.status) for row in report.rows] == [
+        ("traversal", "ok"), ("broadcast_mask", "OOM-guard"), ("index_scatter", "OOM-guard")]
+    assert report.gate_passed  # a guarded row is no gate failure
+    assert main(["bench-lfa", "--n", "200", "--reps", "1", "--set", "mem_cap=1000"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[-2] for row in rows] == ["ok", "OOM-guard", "OOM-guard"]
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,12 @@ def test_binary_write_refuses_counts_past_u32_and_leaves_no_file(tmp_path):
     assert read_cloud(path).c_raw == 2 ** 32 - 1
 
 
+def test_text_cloud_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("# c_raw=1\n\n1,2,3,4\n   \n\n5,6,7,8\n\n")
+    assert read_cloud(path) == PointCloud([[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]], [[4.0], [8.0]])
+
+
 def test_read_rejects_malformed(tmp_path):
     cases = {
         "trunc.rgpc": b"RGPC\x01\x00",
@@ -188,6 +194,7 @@ def test_read_rejects_malformed(tmp_path):
         + (1).to_bytes(4, "little") + b"\x00" * 8,
         "noheader.csv": b"1,2,3\n",
         "badcount.csv": b"# c_raw=x\n",
+        "negcount.csv": b"# c_raw=-1\n",
         "columns.csv": b"# c_raw=2\n1,2,3\n",
         "numeric.csv": b"# c_raw=0\n1,2,zzz\n",
     }

@@ -18,6 +18,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -139,8 +140,10 @@ _ENCODE_PARAMS = init_weights(3, c_raw=2, c=8)
 def _encode_result(pos, feats, **settings_):
     """The map's bytes, checked finite, or the type of the error encode raised."""
     try:
-        fmap = encode(PointCloud(pos, feats), _ENCODE_PARAMS, _ENCODE_BEV,
-                      RasterSettings(tile_size=4, **settings_))
+        # a 4-px tile edge, patched per call: hypothesis refuses function-scoped fixtures
+        with mock.patch.object(RasterSettings, "tile_size", 4):
+            fmap = encode(PointCloud(pos, feats), _ENCODE_PARAMS, _ENCODE_BEV,
+                          RasterSettings(**settings_))
     except RgkError as exc:
         return type(exc)
     assert fmap.data.shape == (_ENCODE_PARAMS.feature_dim, 24, 20)
@@ -449,17 +452,14 @@ _CLOUD_ROWS = ["# c_raw=2", "1,0,0,0.5,-1", "2,1,0.5,1,0", "1.1,0.2,0,0,0.3", "2
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_sizes((1, 40), (2 ** 29, 2 ** 66)), _sizes((1, 40), (2 ** 29, 2 ** 66)),
-       _sizes((1, 8), (2 ** 20, 2 ** 66)), _sizes((1, 20), (2 ** 20, 2 ** 70)))
-@example(100_000, 100_000, 64, 16)
-@example(16, 16, 8, 2 ** 40)
-@example(16, 16, 8, 2 ** 64)
-def test_rgk_encode_exits_0_2_3_or_4_at_any_map_size(h, w, c, tile_size):
+       _sizes((1, 8), (2 ** 20, 2 ** 66)))
+@example(100_000, 100_000, 64)
+def test_rgk_encode_exits_0_2_3_or_4_at_any_map_size(h, w, c):
     with tempfile.TemporaryDirectory() as tmp:
         cloud = Path(tmp) / "cloud.csv"
         cloud.write_text("\n".join(_CLOUD_ROWS) + "\n")
         code = _exit_code(["encode", "--cloud", str(cloud), "--out", str(Path(tmp) / "m.rgfm"),
-                           "--set", f"h={h}", "--set", f"w={w}", "--set", f"c={c}",
-                           "--set", f"tile_size={tile_size}"])
+                           "--set", f"h={h}", "--set", f"w={w}", "--set", f"c={c}"])
     assert code == (3 if max(h, w, c) > 2 ** 19 or 4 * c * h * w > MAX_MAP_BYTES else 0)
 
 

@@ -28,6 +28,7 @@ from rgkit.errors import (
     AllocationLimit,
     FormatError,
     InvalidSpec,
+    NonPositiveScale,
     ShapeMismatch,
     SingularCovariance,
 )
@@ -138,6 +139,12 @@ def test_projection_rejects_vanishing_footprint():
         with pytest.raises(SingularCovariance):
             project_to_bev(_prim([0.0, 0.0, 0.0], scales=scales,
                                  quat=quat_normalize(np.array([1.0, 0.2, 0.3, 0.4]))), VOD)
+
+
+@pytest.mark.parametrize("scales", [(0.0, 1.0, 1.0), (1.0, -0.5, 1.0)])
+def test_projection_rejects_a_scale_that_is_not_positive(scales):
+    with pytest.raises(NonPositiveScale, match="scales must be positive"):
+        project_to_bev(_prim([0.0, 0.0, 0.0], scales=scales), VOD)
 
 
 def test_sort_splats_orders_and_ties():
@@ -308,18 +315,6 @@ def test_encode_matches_the_oracle_on_its_own_blend_ordered_arrays(monkeypatch):
     assert nonzero_pixels(fmap) > bev.h * bev.w // 4
     diff = np.max(np.abs(fmap.data.astype(np.float64) - oracle.data.astype(np.float64)))
     assert diff <= 1e-4
-
-
-@pytest.mark.parametrize("tile_size", [17, 1000])
-def test_a_tile_larger_than_the_map_reports_the_clamped_edge(tile_size):
-    # the grid is the whole map in one tile of edge max(h, w), as binning
-    # uses it; build_tile_grid reported the unclamped tile_size
-    bev = BevRange(0.0, 16.0, -8.0, 8.0, 16, 12)
-    splats = sort_splats(_random_splats(5, 40, bev))
-    grid = build_tile_grid(splats, bev, RasterSettings(tile_size=tile_size))
-    assert (grid.tile_size, grid.n_tiles_x, grid.n_tiles_y) == (16, 1, 1)
-    assert grid == build_tile_grid(splats, bev, RasterSettings(tile_size=16))
-    assert grid.tiles[0]
 
 
 def test_off_map_splats_land_in_no_tile():
@@ -673,10 +668,11 @@ def _tile_max_alpha(s, bev, ts):
 
 
 @pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
-def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size):
+def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size, monkeypatch):
+    monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)  # partial last tile row and column
     splats = _adversarial_splats(bev, tile_size)
-    settings = RasterSettings(tile_size=tile_size)
+    settings = RasterSettings()
     culled = 0
     for blend_order in BLEND_ORDERS:
         ordered = sort_splats(splats, blend_order)
@@ -698,6 +694,41 @@ def test_exact_binning_culls_only_pairs_below_alpha_min(tile_size):
         _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
                            _ref_rasterize(splats, bev, 1, settings))
     assert culled > 0
+
+
+def _needles(bev, count=60):
+    """Splats projected without blur from scales of 2.5 mm to 20 m per axis
+    at random rotations, so up to ~10^4 times longer than wide, and a huge
+    one at opacity alpha_min, where alpha stays alpha_min far from the mean."""
+    gen = SplitMix64(stream_seed(77, "needles"))
+    out = []
+    for i in range(count):
+        prim = _prim(mean=[gen.next_f64() * 14.0 - 2.0, gen.next_f64() * 13.0 - 2.0, 0.0],
+                     scales=np.exp(gen.uniforms(3) * 9.0 - 6.0), quat=gen.normals(4),
+                     opacity=0.3 + 0.69 * gen.next_f64(), features=gen.normals(1))
+        out.append(project_to_bev(prim, bev, lambda_blur=0.0, source_index=i))
+    amin = RasterSettings().alpha_min
+    return out + [_disc_splat(20.0, 20.0, opacity=amin, var=1e100, key=count)]
+
+
+@pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
+def test_binning_spans_drop_no_pair_the_exact_test_keeps(tile_size, monkeypatch):
+    # binning tests the tiles of each splat's ellipse span; widened to the
+    # whole map, the exact test alone must keep the same pairs.  A splat
+    # whose inverse is not positive definite keeps its 3DGS disc.
+    monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    settings = RasterSettings(lambda_blur=0.0, blend_order="index")
+    for splats in (_adversarial_splats(bev, tile_size), _needles(bev)):
+        mean2d, cov2d, inv, opacity = _splat_arrays(sort_splats(splats, "index"))
+        ellipse = (inv[:, 0] > 0) & (inv[:, 2] > 0)
+        wide = np.where(ellipse[:, None], (1e300, 0.0, 1e300), cov2d)
+        got = splat_module._bin(mean2d, cov2d, inv, opacity, bev, settings)
+        want = splat_module._bin(mean2d, wide, inv, opacity, bev, settings)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+        _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
+                           _ref_rasterize(splats, bev, 1, settings))
 
 
 def test_binning_spreads_candidates_in_blocks_under_mem_cap():
@@ -729,16 +760,17 @@ def test_binning_blocks_split_splats_and_keep_the_bytes():
         encode(cloud, params, VOD, mem_cap=BIN_CANDIDATE_BYTES - 1)
 
 
-def test_binning_index_arrays_grow_with_the_hits_not_the_tiles():
+def test_binning_index_arrays_grow_with_the_hits_not_the_tiles(monkeypatch):
     # two small splats on 4 M one-pixel tiles: binning used to build index
     # arrays over every tile (84 MB traced besides the 16 MiB map, which is
     # a page mapping that tracemalloc does not see); ~50 kB are traced now
+    monkeypatch.setattr(RasterSettings, "tile_size", 1)
     bev = BevRange(0.0, 2048.0, -1024.0, 1024.0, 2048, 2048)
     cloud = PointCloud([[10.0, 0.0, 0.0], [1030.0, 5.0, 1.0]], [[1.0, 0.5], [-1.0, 2.0]])
     params = init_weights(0, c_raw=2, c=1)
     tracemalloc.start()
     try:
-        fmap = encode(cloud, params, bev, RasterSettings(tile_size=1))
+        fmap = encode(cloud, params, bev)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -924,10 +956,11 @@ def _lit_row_splats(ts):
 
 
 @pytest.mark.parametrize("tile_size", [16, 32])
-def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size):
+def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size, monkeypatch):
+    monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     lit_rows = _lit_row_splats(tile_size)
-    settings = RasterSettings(tile_size=tile_size)
+    settings = RasterSettings()
     kept = [i for i, t in enumerate(build_tile_grid(lit_rows, bev, settings).tiles) if t]
     assert kept == [0, -(-bev.w // tile_size) + 1]
     lit = np.flatnonzero(_ref_rasterize(lit_rows, bev, 1, settings)[0].any(axis=1))
@@ -935,8 +968,7 @@ def test_blend_pixel_groups_keep_the_bytes_on_the_binning_fixture(tile_size):
     for splats in (_adversarial_splats(bev, tile_size), lit_rows):
         for blend_order in BLEND_ORDERS:
             for t_min in (1e-4, 0.0):
-                settings = RasterSettings(tile_size=tile_size, t_min=t_min,
-                                          blend_order=blend_order)
+                settings = RasterSettings(t_min=t_min, blend_order=blend_order)
                 want = _ref_rasterize(splats, bev, 1, settings)
                 one_pixel = _one_pixel_cap(splats, bev, settings)
                 for cap in (DEFAULT_MEM_CAP, BLOCK_BYTES, 1 << 16, 3 * one_pixel, one_pixel):
@@ -952,7 +984,8 @@ def test_blend_buffers_stay_under_mem_cap(monkeypatch):
     params = init_weights(0, c_raw=4, c=8, s_min=50.0)
     for tile_size, workers in ((64, 1), (32, 2)):
         _force_workers(monkeypatch, workers)
-        settings = RasterSettings(tile_size=tile_size)
+        monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
+        settings = RasterSettings()
         want = _ref_encode(cloud, params, bev, settings)
         tracemalloc.start()
         try:
@@ -970,7 +1003,7 @@ def test_workers_share_mem_cap_in_blocks_and_pixels(monkeypatch):
     # runs one worker and writes the same bytes
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     splats = _adversarial_splats(bev, 16)
-    settings = RasterSettings(tile_size=16)
+    settings = RasterSettings()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     picked = []
     pick = splat_module._worker_count
@@ -1031,11 +1064,12 @@ def test_worker_count_keeps_the_bytes_on_a_dense_tj4d_frame(dense_tj4d_splats, t
 
 @pytest.mark.parametrize("tile_size", [16, 32])
 def test_worker_count_keeps_the_bytes_on_the_binning_fixture(tile_size, monkeypatch):
+    monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     splats = _adversarial_splats(bev, tile_size)
     for blend_order in BLEND_ORDERS:
         for t_min in (1e-4, 0.0):
-            settings = RasterSettings(tile_size=tile_size, t_min=t_min, blend_order=blend_order)
+            settings = RasterSettings(t_min=t_min, blend_order=blend_order)
             deepest = _deepest(splats, bev, settings)
             _force_workers(monkeypatch, 1)
             want = _composite_at(splats, bev, 1, settings, DEFAULT_MEM_CAP)
@@ -1167,11 +1201,12 @@ def test_carried_transmittance_through_subnormals_matches_one_cumprod():
             _assert_same_bytes(_composite_at(splats, bev, 2, settings, cap), want)
 
 
-def test_tile_whose_rows_all_fail_alpha_min_writes_exact_zeros():
-    # opacity 1.2 alpha_min gives a coverage disc of 3 sigma over six tiles,
-    # but alpha reaches alpha_min only within 0.6 sigma: the mean's pixel,
-    # in the one tile the exact cull keeps
-    settings = RasterSettings(t_min=0.0, lambda_blur=0.0, tile_size=4)
+def test_tile_whose_rows_all_fail_alpha_min_writes_exact_zeros(monkeypatch):
+    # opacity 1.2 alpha_min: alpha reaches alpha_min only within 0.6 sigma,
+    # at the mean's pixel, so binning keeps one tile, where a 3-sigma disc
+    # (as in 3DGS) would reach six, and every other pixel stays +0
+    monkeypatch.setattr(RasterSettings, "tile_size", 4)
+    settings = RasterSettings(t_min=0.0, lambda_blur=0.0)
     prim = _prim([5.5, 0.5, 0.0], scales=(1.0, 1.0, 1.0), opacity=1.2 / 255.0,
                  features=(-2.0,))
     splat = project_to_bev(prim, SMALL, lambda_blur=0.0)
