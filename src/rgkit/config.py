@@ -122,10 +122,10 @@ class RasterSettings:
         if not 0.0 < self.alpha_max <= 1.0:
             raise InvalidSpec(f"alpha_max must be in (0, 1], got {self.alpha_max}")
         if not 0.0 < self.alpha_min < 1.0:
-            raise InvalidSpec(
-                f"alpha_min must be in (0, 1) so footprints are finite, "
-                f"got {self.alpha_min}"
-            )
+            raise InvalidSpec(f"alpha_min must be in (0, 1) so footprints are finite, "
+                              f"got {self.alpha_min}")
+        if self.alpha_min > self.alpha_max:  # every clamped alpha would be skipped
+            raise InvalidSpec(f"alpha_min must be <= alpha_max, got {self.alpha_min}")
         if not (math.isfinite(self.lambda_blur) and self.lambda_blur >= 0):
             raise InvalidSpec(f"lambda_blur must be finite and >= 0, got {self.lambda_blur}")
         if not (math.isfinite(self.t_min) and self.t_min < 1.0):

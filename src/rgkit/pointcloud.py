@@ -152,8 +152,9 @@ def generate_scene(spec: SceneSpec) -> PointCloud:
     pick = np.minimum(
         (u[:, 0] * spec.n_clusters).astype(np.int64), spec.n_clusters - 1
     )
-    offsets = spec.cluster_sigma * boxmuller(u[:, [1, 3, 5]], u[:, [2, 4, 6]])
-    positions = np.clip(centers[pick] + offsets, lo, hi)
+    with np.errstate(over="ignore"):  # a huge sigma's +-inf offsets clamp to the range
+        offsets = spec.cluster_sigma * boxmuller(u[:, [1, 3, 5]], u[:, [2, 4, 6]])
+        positions = np.clip(centers[pick] + offsets, lo, hi)
     features = 2.0 * u[:, 7:] - 1.0
     return PointCloud(positions, features)
 

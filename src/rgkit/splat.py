@@ -13,8 +13,9 @@ Projection is a parallel map with per-axis scaling.  For a BEV range
 so pixel column 0 starts at ``x_min`` and row 0 at ``y_min``; pixel
 ``(row, col)`` covers ``[col, col+1) x [row, row+1)`` and is sampled at
 its center ``(col + 0.5, row + 0.5)``.  The ``lambda_blur`` diagonal
-(default 0.3 px^2) keeps ``cov2d`` invertible and every footprint at
-least a pixel wide.
+(default 0.3 px^2) keeps every footprint at least a pixel wide.  Every
+splat must be a Gaussian (``cov2d`` positive definite); any other raises
+:class:`SingularCovariance` in projection or in binning, hand-made too.
 
 Rasterization composites splats in ascending blend-key order
 (configurable: ascending z, descending z, or input order; ties always
@@ -222,8 +223,9 @@ _ABC = [0, 1, 3]
 def _project(means: Array, scales: Array, quats: Array, bev: BevRange, lambda_blur: float):
     """Pixel means (N, 2), ``cov2d`` (N, 3) as (a, b, c) of [[a, b], [b, c]]
     and its inverse (N, 3) of N 3D Gaussians."""
-    if np.any(scales <= 0.0):
-        raise NonPositiveScale(f"scales must be positive, got {scales[scales <= 0.0].tolist()}")
+    bad = scales[scales <= 0.0]
+    if bad.size:
+        raise NonPositiveScale(f"scales must be positive, {bad.size} are not, the first {bad[0]}")
     w, x, y, z = quat_normalize(quats).T
     s0, s1, s2 = scales.T
     # rows 0 and 1 of R S, R as in geom.quat_to_rotmat
@@ -238,7 +240,8 @@ def _project(means: Array, scales: Array, quats: Array, bev: BevRange, lambda_bl
         b = (sx * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2])) * sy
         c = (sy * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])) * sy + lambda_blur
         det = a * c - b * b
-    bad = ~(np.abs(det) > DET_EPS) | (np.abs(det) == np.inf)
+    # a, c are sums of squares plus lambda_blur: det > 0 makes a, c, ia and ic > 0, as _bin needs
+    bad = ~(det > DET_EPS) | (det == np.inf)
     if np.any(bad):
         raise SingularCovariance(f"projected covariance det {det[bad][0]:.3e} not invertible")
     cov2d = np.stack([a, b, c], 1)
@@ -324,23 +327,25 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
     ``alpha_min``.  Returns ``rows``, the non-empty tiles ascending and
     their ``starts``: tile ``tiles[j]`` gets ``rows[starts[j]:starts[j + 1]]``,
     ascending, so the arrays are sized by the hits, not by the tile count.
-    The (splat, tile) candidates are spread and tested in blocks of as many
-    as ``min(mem_cap, BLOCK_BYTES)`` holds at :data:`BIN_CANDIDATE_BYTES`
-    each."""
+    Splats must be Gaussians: :class:`SingularCovariance` unless the diagonals
+    of ``cov2d`` and its inverse are > 0 (positive definite, as a pair).  The
+    (splat, tile) candidates are spread and tested in blocks of as many as
+    ``min(mem_cap, BLOCK_BYTES)`` holds at :data:`BIN_CANDIDATE_BYTES` each."""
     ts, ntx, nty = _tile_grid(bev)
     a, b, c = cov2d.T
     mx, my = mean2d.T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    bad = ~((a > 0) & (c > 0) & (inv[:, 0] > 0) & (inv[:, 2] > 0))  # NaN fails
+    if np.any(bad):
+        raise SingularCovariance(f"{np.count_nonzero(bad)} splats have a diagonal of cov2d or its "
+                                 f"inverse not > 0, the first {cov2d[bad][0]}, {inv[bad][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
         k2 = 2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min)
-        # alpha >= alpha_min exactly where q = d^T inv d <= k2.  For a positive definite inv,
+        # alpha >= alpha_min exactly where q = d^T inv d <= k2.  As inv is positive definite,
         # q >= u^2 / a and q >= v^2 / c, so past the span of q <= k2 (1 + 2e-9) + 1e-9, q tops k2
         # plus the exact test's margin, 1e-12 (1 + k2 + ia u^2 + ic v^2) <= 1e-12 (1 + k2 + q /
         # (1 - |b| / sqrt(ac))), while |b| / sqrt(ac) < 0.999; the half pixel to the next pixel
-        # centre adds 1 / (4a).  Any other inv keeps the 3DGS disc: the test keeps all its pairs.
-        lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-        disc = np.sqrt(np.maximum(k2, 9.0)) * np.sqrt(np.maximum(lam_max, 0.0))
-        ellipse = (inv[:, 0] > 0) & (inv[:, 2] > 0)
-        rx, ry = (np.where(ellipse, np.sqrt((k2 * (1 + 2e-9) + 1e-9) * v), disc) for v in (a, c))
+        # centre adds 1 / (4a).
+        rx, ry = (np.sqrt((k2 * (1 + 2e-9) + 1e-9) * v) for v in (a, c))
         # written so that NaN fails: the culls come before any int conversion
         keep = (opacity >= settings.alpha_min) & (mx + rx >= 0) & (my + ry >= 0)
         idx = np.flatnonzero(keep & (mx - rx < bev.w) & (my - ry < bev.h))
@@ -373,9 +378,9 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
             u0, u1 = (tx * ts + 0.5) - mx[pair], (np.minimum(tx * ts + ts, bev.w) - 0.5) - mx[pair]
             v0, v1 = (ty * ts + 0.5) - my[pair], (np.minimum(ty * ts + ts, bev.h) - 0.5) - my[pair]
             (ia, ib, ic), kk = inv[pair].T, k2[pair]
-            # with ia, ic > 0 the minimum over the rectangle is at most 0 with the
-            # mean inside, else the least of the four edges' clamped minima; the
-            # margin covers float64 rounding here and in the blend.  NaN keeps a pair.
+            # the minimum over the rectangle is at most 0 with the mean inside,
+            # else the least of the four edges' clamped minima; the margin
+            # covers float64 rounding here and in the blend.  NaN keeps a pair.
             u = np.array([u0, u1, np.clip(-(ib * v0) / ia, u0, u1),
                           np.clip(-(ib * v1) / ia, u0, u1)])
             v = np.array([np.clip(-(ib * u0) / ic, v0, v1), np.clip(-(ib * u1) / ic, v0, v1),
@@ -384,7 +389,7 @@ def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
             qmin[(u0 <= 0) & (u1 >= 0) & (v0 <= 0) & (v1 >= 0)] = 0.0
             margin = 1e-12 * (1 + kk + ia * np.maximum(u0 * u0, u1 * u1)
                               + ic * np.maximum(v0 * v0, v1 * v1))
-            hit = ~((ia > 0) & (ic > 0) & (qmin > kk + margin))
+            hit = ~(qmin > kk + margin)
             hits.append(pair[hit])
             tiles.append((ty * ntx + tx)[hit])
     pair = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
@@ -562,7 +567,8 @@ def rasterize(
     """Tile-based alpha-blended rasterization of a list of splats, by the
     kernels of :func:`encode`.  ``threads`` is accepted and ignored: the
     compositing workers follow the CPUs the process may run on, and the
-    map does not depend on their number."""
+    map does not depend on their number.  A splat that is not a Gaussian
+    raises :class:`SingularCovariance` (see :func:`_bin`)."""
     settings = settings or RasterSettings()
     widths = {s.features.shape[0] for s in splats}
     if len(widths) > 1:
@@ -591,8 +597,9 @@ def rasterize_oracle(mean2d, inv, opacity, features, bev: BevRange,
     for (mx, my), (ia, ib, ic), o, f in zip(mean2d, inv, opacity, features, strict=True):
         dx = xg - mx
         dy = yg - my
-        q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
-        alpha = np.minimum(o * np.exp(-0.5 * q), settings.alpha_max)
+        with np.errstate(over="ignore", invalid="ignore"):  # far off the map q is inf or NaN
+            q = ia * dx * dx + 2.0 * ib * (dx * dy) + ic * dy * dy
+            alpha = np.minimum(o * np.exp(-0.5 * q), settings.alpha_max)
         use = alpha >= settings.alpha_min
         weight = np.where(use, alpha * transmit, 0.0)
         acc += f[:, None, None] * weight
@@ -617,7 +624,8 @@ def encode(
     buffers, but not the attention's (N, 2c) FFN arrays, the (splat, tile)
     hits binning keeps or the time: at 4 MiB, 2 500 points in 5 clusters on
     the ``tj4d`` map keep 409 k hits (18.0 MB traced, 7.1 s) at ``s_min`` 5
-    and 2.09 M (85.3 MB, 91 s) at 50.  An unexpected overflow raises InvalidSpec."""
+    and 2.09 M (85.3 MB, 91 s) at 50.  An unexpected overflow raises InvalidSpec, and a
+    projected ``cov2d`` whose determinant is not > ``DET_EPS`` SingularCovariance."""
     settings = settings or RasterSettings()
     # raw features past ~1e154 square to inf in the layer norms and would
     # end in a NaN map or an unrelated error; where a stage expects an
@@ -669,20 +677,10 @@ def nonzero_pixels(fmap: BevFeatureMap) -> int:
 
 def write_feature_map(fmap: BevFeatureMap, path) -> None:
     """Write an ``RGFM`` file."""
+    bev = fmap.bev
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            _HEADER.pack(
-                _VERSION,
-                fmap.channels,
-                fmap.bev.h,
-                fmap.bev.w,
-                fmap.bev.x_min,
-                fmap.bev.x_max,
-                fmap.bev.y_min,
-                fmap.bev.y_max,
-            )
-        )
+        fh.write(_MAGIC + _HEADER.pack(_VERSION, fmap.channels, bev.h, bev.w, bev.x_min,
+                                       bev.x_max, bev.y_min, bev.y_max))
         # straight from the array's buffer, no bytes copy of the payload
         np.ascontiguousarray(fmap.data, dtype="<f4").tofile(fh)
 

@@ -63,6 +63,16 @@ def test_generate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_huge_sigma_clamps_into_the_range(tmp_path):
+    # sigma times a normal draw overflows to +-inf, which clamps to the bounds
+    out = tmp_path / "scene.rgpc"
+    assert main(["generate", "--out", str(out), "--n", "200", "--seed", "2",
+                 "--sigma", "1e308", "--binary"]) == 0
+    cfg, pos = RunConfig(), read_cloud(out).positions
+    assert np.all(pos >= (cfg.x_min, cfg.y_min, cfg.z_min))
+    assert np.all(pos <= (cfg.x_max, cfg.y_max, cfg.z_max))
+
+
 def test_generate_respects_preset_extents(tmp_path):
     out = tmp_path / "scene.rgpc"
     assert main(["generate", "--out", str(out), "--n", "400", "--seed", "1",
@@ -177,7 +187,8 @@ def test_encode_non_finite_row_exits_2(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("setting", ["s_min=nan", "lambda_blur=nan", "t_min=nan", "t_min=2",
                                      "s_min=inf", "lambda_blur=inf", "alpha_max=0",
-                                     "alpha_max=1.5", "alpha_min=0", "alpha_min=1", "mem_cap=-1"])
+                                     "alpha_max=1.5", "alpha_min=0", "alpha_min=1", "mem_cap=-1",
+                                     "alpha_min=0.995"])
 def test_encode_out_of_range_setting_exits_2(tmp_path, small_cloud, capsys, setting):
     assert main(["encode", "--cloud", str(small_cloud), "--out", str(tmp_path / "m.rgfm"),
                  "--set", "c=16", "--set", "h=64", "--set", "w=64", "--set", setting]) == 2

@@ -10,7 +10,8 @@ back to it, or a typed ``RgkError`` (``rgk ... --dump-config`` exits 0, 2
 or 3).  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
-around cell boundaries."""
+around cell boundaries.  Hand-made splats are refused with
+``SingularCovariance`` or composite to the float64 oracle's map."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rgkit.aggregation import (
@@ -34,14 +35,16 @@ from rgkit.aggregation import (
 from rgkit.boxloss import BglConfig, Box3D, bgl, bgl_gradient, read_boxes, write_boxes
 from rgkit.cli import main
 from rgkit.config import RunConfig, apply_updates, dump_config, load_config, parse_config_text
-from rgkit.errors import RgkError
+from rgkit.errors import RgkError, SingularCovariance
 from rgkit.pointcloud import BevRange, PointCloud, read_cloud
 from rgkit.splat import (
     BLEND_ORDERS,
     MAX_MAP_BYTES,
     BevFeatureMap,
     RasterSettings,
+    _composite,
     encode,
+    rasterize_oracle,
     read_feature_map,
 )
 
@@ -160,6 +163,54 @@ def test_encode_is_a_finite_map_or_a_typed_error(cloud_points, blend_order, t_mi
     got = _encode_result(pos, feats, t_min=t_min, blend_order=blend_order)
     if t_min < 0:  # no early stop, as at t_min = 0: the same bytes or the same error
         assert got == _encode_result(pos, feats, t_min=0.0, blend_order=blend_order)
+
+
+_SPLAT_BEV = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)  # 3 x 3 tiles, the last ones partial
+_AMIN = RasterSettings().alpha_min
+
+
+@st.composite
+def splat_arrays(draw):
+    """Blend-ordered means, ``cov2d`` and inverses as (a, b, c), opacities and
+    features of up to 5 hand-made splats; variances of 1e-6 to 1e4 px^2
+    make needles and determinants down to about DET_EPS, and one splat in
+    half the draws has a negative variance, so is no Gaussian."""
+    n = draw(st.integers(1, 5))
+    coord = st.one_of(st.floats(0.0, 37.0), st.floats(-10.0, 50.0), st.sampled_from(
+        [-1e3, 1e3, -1e308, 1e308, -math.inf, math.inf]))
+    opacity = st.one_of(st.floats(0.05, 1.0), st.sampled_from(
+        [_AMIN, np.nextafter(_AMIN, 0.0), np.nextafter(_AMIN, 1.0), 0.0, 1.0]))
+    variance = st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e)
+    rows = []
+    for _ in range(n):
+        long, short, t = draw(variance), draw(variance), draw(st.floats(0.0, math.pi))
+        a = long * math.cos(t) ** 2 + short * math.sin(t) ** 2
+        c = long * math.sin(t) ** 2 + short * math.cos(t) ** 2
+        b = (long - short) * math.sin(t) * math.cos(t)
+        o, f = draw(opacity), draw(st.floats(0.25, 1.0))
+        rows.append((draw(coord), draw(coord), a, b, c, o, f))
+    if draw(st.booleans()):  # an indefinite covariance: [[a, b], [b, -c]]
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:4] + (-rows[i][4],) + rows[i][5:]
+    mx, my, a, b, c, o, f = np.array(rows).T
+    det = a * c - b * b
+    assume(np.all(det != 0.0))
+    return (np.stack([mx, my], 1), np.stack([a, b, c], 1),
+            np.stack([c, -b, a], 1) / det[:, None], o, f[:, None])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(splat_arrays())
+def test_splats_are_refused_or_composite_to_the_oracle(splats):
+    mean2d, cov2d, inv, opacity, feats = splats
+    settings_ = RasterSettings(t_min=0.0)
+    try:
+        tiled = _composite(mean2d, cov2d, inv, opacity, feats, _SPLAT_BEV, settings_)
+    except SingularCovariance:
+        return
+    oracle = rasterize_oracle(mean2d, inv, opacity, feats, _SPLAT_BEV, settings_)
+    assert np.max(np.abs(tiled.data.astype(np.float64) - oracle.data)) <= 1e-4
 
 
 def _saved_weights() -> bytes:

@@ -147,6 +147,23 @@ def test_projection_rejects_a_scale_that_is_not_positive(scales):
         project_to_bev(_prim([0.0, 0.0, 0.0], scales=scales), VOD)
 
 
+def test_projection_counts_the_scales_that_are_not_positive():
+    # one short line for any number of bad scales, not one value per scale
+    rows = 3000
+    with pytest.raises(NonPositiveScale, match="positive, 9000 are not, the first 0.0") as err:
+        splat_module._project(np.zeros((rows, 3)), np.zeros((rows, 3)),
+                              np.tile(IDENTITY_QUAT, (rows, 1)), VOD, 0.3)
+    assert len(str(err.value)) < 80
+
+
+def test_projection_rejects_a_negative_determinant():
+    # a needle whose cov2d rounds to det -0.0156 without blur, so its inverse
+    # diagonal is (-1.76e9, -1.52e8): |det| > DET_EPS, but det must be
+    prim = _prim([30.0, 0.0, 0.0], scales=(1000.0, 1e-9, 1e-9), quat=[0.9, 0.1, 0.2, 0.7])
+    with pytest.raises(SingularCovariance, match="det -1.562e-02"):
+        project_to_bev(prim, TJ4D, lambda_blur=0.0)
+
+
 def test_sort_splats_orders_and_ties():
     splats = _random_splats(50, 6, SMALL)
     asc = sort_splats(splats, "z-asc")
@@ -644,13 +661,31 @@ def _adversarial_splats(bev, tile_size):
         for mean in means:
             for opacity in (0.9, np.nextafter(amin, 1.0), amin, np.nextafter(amin, 0.0)):
                 splats.append(_cov_splat(*mean, cov, opacity=opacity, key=len(splats)))
-    # indefinite, one with a concave inverse diagonal: clamped stationary
-    # points are edge maxima there, and tile (1, 1) at tile_size 4 has
-    # alpha = e^-1 o > alpha_min at its corner pixel nearest the mean
-    splats.append(_cov_splat(20.3, 20.6, [[1.0, 0.3], [0.3, -100.0]], 0.5, key=len(splats)))
-    splats.append(_cov_splat(2.5, 2.5, [[1.0, 3.0], [3.0, 1.0]], amin * math.exp(1.5),
-                             key=len(splats)))
     return splats
+
+
+def _indefinite_splats(key):
+    """Splats that are not Gaussians: two indefinite ones, one with a concave
+    inverse diagonal, and one whose covariance has a NaN diagonal."""
+    amin = RasterSettings().alpha_min
+    return [_cov_splat(20.3, 20.6, [[1.0, 0.3], [0.3, -100.0]], 0.5, key=key),
+            _cov_splat(2.5, 2.5, [[1.0, 3.0], [3.0, 1.0]], amin * math.exp(1.5), key=key),
+            _cov_splat(5.0, 5.0, [[np.nan, 0.0], [0.0, 1.0]], 0.5, key=key)]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_splats_that_are_not_gaussians_raise_singular_covariance(which):
+    # binning spans each splat over its ellipse, which only a positive definite
+    # covariance bounds; every entry point refuses the others
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    splats = _random_splats(90, 5, bev, channels=1) + [_indefinite_splats(5)[which]]
+    settings = RasterSettings()
+    with pytest.raises(SingularCovariance, match="1 splats have a diagonal"):
+        rasterize(splats, bev, 1, settings)
+    with pytest.raises(SingularCovariance):
+        build_tile_grid(sort_splats(splats, "index"), bev, settings)
+    with pytest.raises(SingularCovariance):
+        _composite_at(splats, bev, 1, settings, DEFAULT_MEM_CAP)
 
 
 def _tile_max_alpha(s, bev, ts):
@@ -714,21 +749,32 @@ def _needles(bev, count=60):
 @pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
 def test_binning_spans_drop_no_pair_the_exact_test_keeps(tile_size, monkeypatch):
     # binning tests the tiles of each splat's ellipse span; widened to the
-    # whole map, the exact test alone must keep the same pairs.  A splat
-    # whose inverse is not positive definite keeps its 3DGS disc.
+    # whole map, the exact test alone must keep the same pairs
     monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     settings = RasterSettings(lambda_blur=0.0, blend_order="index")
     for splats in (_adversarial_splats(bev, tile_size), _needles(bev)):
         mean2d, cov2d, inv, opacity = _splat_arrays(sort_splats(splats, "index"))
-        ellipse = (inv[:, 0] > 0) & (inv[:, 2] > 0)
-        wide = np.where(ellipse[:, None], (1e300, 0.0, 1e300), cov2d)
+        wide = np.broadcast_to((1e300, 0.0, 1e300), cov2d.shape)
         got = splat_module._bin(mean2d, cov2d, inv, opacity, bev, settings)
         want = splat_module._bin(mean2d, wide, inv, opacity, bev, settings)
         for g, w in zip(got, want, strict=True):
             np.testing.assert_array_equal(g, w)
         _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
                            _ref_rasterize(splats, bev, 1, settings))
+
+
+@pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
+def test_tiled_matches_the_oracle_on_the_binning_fixture(tile_size, monkeypatch):
+    # the oracle evaluates the infinite and 1e308 means that binning culls,
+    # where q overflows or is NaN, as unused
+    monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
+    bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
+    settings = RasterSettings(t_min=0.0)
+    splats = _adversarial_splats(bev, tile_size) + _needles(bev)
+    tiled = _composite_at(splats, bev, 1, settings, DEFAULT_MEM_CAP)
+    oracle = oracle_of_splats(splats, bev, 1, settings).data
+    assert np.max(np.abs(tiled.astype(np.float64) - oracle.astype(np.float64))) <= 1e-4
 
 
 def test_binning_spreads_candidates_in_blocks_under_mem_cap():
