@@ -99,6 +99,8 @@ def cmd_encode(args, cfg: RunConfig) -> int:
     from .pointcloud import read_cloud
     from .splat import encode, nonzero_pixels, pillar_scatter, write_feature_map, write_pgm
 
+    if args.pgm and not 0 <= args.pgm_channel < cfg.c:  # before any file is written
+        raise InvalidSpec(f"channel {args.pgm_channel} out of range 0..{cfg.c - 1}")
     cloud = read_cloud(args.cloud)
     seed = cfg.seed if args.seed is None else args.seed
     params = init_weights(

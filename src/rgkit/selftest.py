@@ -125,17 +125,16 @@ def _check_predicted_attributes() -> None:
 def _check_raster_oracle() -> None:
     bev = BevRange(0.0, 16.0, -8.0, 8.0, 64, 64)
     settings = RasterSettings(t_min=0.0)
-    mean2d, cov2d, inv, opacity, feats = _random_splats(seed=8, count=80, bev=bev,
-                                                        settings=settings)
-    tiled = splat._composite(mean2d, cov2d, inv, opacity, feats, bev, settings)
+    mean2d, inv, opacity, feats = _random_splats(seed=8, count=80, bev=bev, settings=settings)
+    tiled = splat._composite(mean2d, inv, opacity, feats, bev, settings)
     oracle = splat.rasterize_oracle(mean2d, inv, opacity, feats, bev, settings)
     diff = float(np.max(np.abs(tiled.data.astype(np.float64) - oracle.data.astype(np.float64))))
     assert diff <= 1e-4, f"tiled rasterizer deviates from oracle by {diff:.3g}"
 
 
 def _random_splats(*, seed: int, count: int, bev: BevRange, settings: RasterSettings) -> tuple:
-    """Blend-ordered means, ``cov2d``, inverses, opacities and 3 features of
-    ``count`` random Gaussians projected onto ``bev``."""
+    """Blend-ordered means, inverse covariances, opacities and 3 features
+    of ``count`` random Gaussians projected onto ``bev``."""
     gen = rng.SplitMix64(rng.stream_seed(seed, "splats"))
     low = (bev.x_min, bev.y_min, -1.0)
     span = (bev.x_max - bev.x_min, bev.y_max - bev.y_min, 2.0)
@@ -144,19 +143,19 @@ def _random_splats(*, seed: int, count: int, bev: BevRange, settings: RasterSett
     quats = gen.normals(4 * count).reshape(count, 4)
     opacity = 0.3 + 0.69 * gen.uniforms(count)
     feats = gen.normals(3 * count).reshape(count, 3)
-    mean2d, cov2d, inv = splat._project(means, scales, quats, bev, settings.lambda_blur)
+    mean2d, _, inv = splat._project(means, scales, quats, bev, settings.lambda_blur)
     o = splat._blend_order(means[:, 2], np.arange(count), settings.blend_order)
-    return mean2d[o], cov2d[o], inv[o], opacity[o], feats[o]
+    return mean2d[o], inv[o], opacity[o], feats[o]
 
 
 def _check_blend_analytic() -> None:
     bev = BevRange(0.0, 16.0, -8.0, 8.0, 16, 16)
-    mean2d, cov2d, inv = splat._project(np.array([[8.5, 0.5, 0.0]]), np.full((1, 3), 0.5),
-                                        np.array([[1.0, 0.0, 0.0, 0.0]]), bev, 0.0)
+    mean2d, _, inv = splat._project(np.array([[8.5, 0.5, 0.0]]), np.full((1, 3), 0.5),
+                                    np.array([[1.0, 0.0, 0.0, 0.0]]), bev, 0.0)
     one, feats = np.ones(1), np.array([[2.0]])
     settings = RasterSettings(t_min=0.0, lambda_blur=0.0)
     want = 0.99 * 2.0
-    for name, fmap in (("tiled", splat._composite(mean2d, cov2d, inv, one, feats, bev, settings)),
+    for name, fmap in (("tiled", splat._composite(mean2d, inv, one, feats, bev, settings)),
                        ("oracle", splat.rasterize_oracle(mean2d, inv, one, feats, bev, settings))):
         got = float(fmap.data[0, 8, 8])
         assert abs(got - want) <= 1e-6 * abs(want), f"{name} single splat center {got} != {want}"

@@ -14,8 +14,8 @@ so pixel column 0 starts at ``x_min`` and row 0 at ``y_min``; pixel
 ``(row, col)`` covers ``[col, col+1) x [row, row+1)`` and is sampled at
 its center ``(col + 0.5, row + 0.5)``.  The ``lambda_blur`` diagonal
 (default 0.3 px^2) keeps every footprint at least a pixel wide.  Every
-splat must be a Gaussian (``cov2d`` positive definite); any other raises
-:class:`SingularCovariance` in projection or in binning, hand-made too.
+splat must be a Gaussian (``cov2d`` in projection, ``cov2d_inv`` in
+binning positive definite); any other raises :class:`SingularCovariance`.
 
 Rasterization composites splats in ascending blend-key order
 (configurable: ascending z, descending z, or input order; ties always
@@ -86,8 +86,8 @@ resident, so reading the map to write it takes no page faults.  Populating
 at allocation instead would turn every store into a copy-on-write fault.
 
 :func:`encode` runs on arrays, one kernel per stage: the head's scales,
-unit quaternions and features; projection to means (N, 2) and ``cov2d``
-and its adjugate inverse as (N, 3), the top-left 2 x 2 of Sigma summed
+unit quaternions and features; projection to means (N, 2) and the inverse
+of ``cov2d`` (N, 3), the only footprint later stages read, ``cov2d`` summed
 elementwise from rows 0 and 1 of R S, not by a matmul; an ``np.lexsort``
 into blend order; binning, which culls splats below ``alpha_min`` or
 wholly off the map before any ``int`` conversion and spreads the rest
@@ -167,8 +167,8 @@ _HEADER = struct.Struct("<IIII4d")  # version, C, H, W, x_min, x_max, y_min, y_m
 
 @dataclass(frozen=True)
 class Splat2D:
-    """Screen-space Gaussian: pixel-space mean and covariance (with its
-    inverse), features, opacity, and the (z, source index) blend key."""
+    """Screen-space Gaussian: pixel-space mean, covariance (carried, read by no
+    kernel) and its inverse, features, opacity and the (z, index) blend key."""
 
     mean2d: Array
     cov2d: Array
@@ -240,7 +240,7 @@ def _project(means: Array, scales: Array, quats: Array, bev: BevRange, lambda_bl
         b = (sx * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2])) * sy
         c = (sy * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])) * sy + lambda_blur
         det = a * c - b * b
-    # a, c are sums of squares plus lambda_blur: det > 0 makes a, c, ia and ic > 0, as _bin needs
+    # a, c are sums of squares plus lambda_blur: det > 0 makes the inverse positive definite
     bad = ~(det > DET_EPS) | (det == np.inf)
     if np.any(bad):
         raise SingularCovariance(f"projected covariance det {det[bad][0]:.3e} not invertible")
@@ -264,14 +264,17 @@ def project_to_bev(
 
 def _columns(splats: list, name: str, *width) -> Array:
     """One attribute of every splat as a float64 (N, *width) array."""
-    return np.array([getattr(s, name) for s in splats], dtype=np.float64).reshape(
-        len(splats), *width)
+    try:
+        return np.array([getattr(s, name) for s in splats], dtype=np.float64).reshape(
+            len(splats), *width)
+    except ValueError:
+        raise ShapeMismatch(f"a splat's {name} is not of size {np.prod(width):.0f}") from None
 
 
 def _splat_arrays(splats: list) -> tuple:
-    """Means (N, 2), ``cov2d`` (N, 3), inverses (N, 3) and opacities (N,)."""
-    return (_columns(splats, "mean2d", 2), _columns(splats, "cov2d", 4)[:, _ABC],
-            _columns(splats, "cov2d_inv", 4)[:, _ABC], _columns(splats, "opacity"))
+    """Means (N, 2), inverse covariances (N, 3) and opacities (N,)."""
+    return (_columns(splats, "mean2d", 2), _columns(splats, "cov2d_inv", 4)[:, _ABC],
+            _columns(splats, "opacity"))
 
 
 def _blend_order(z: Array, src: Array, blend_order: str) -> Array:
@@ -321,31 +324,32 @@ def _tile_grid(bev: BevRange) -> tuple:
     return ts, (bev.w + ts - 1) // ts, (bev.h + ts - 1) // ts
 
 
-def _bin(mean2d, cov2d, inv, opacity, bev: BevRange, settings: RasterSettings,
+def _bin(mean2d, inv, opacity, bev: BevRange, settings: RasterSettings,
          mem_cap: int = DEFAULT_MEM_CAP):
     """Bin blend-sorted splats into every tile where their alpha can reach
     ``alpha_min``.  Returns ``rows``, the non-empty tiles ascending and
     their ``starts``: tile ``tiles[j]`` gets ``rows[starts[j]:starts[j + 1]]``,
     ascending, so the arrays are sized by the hits, not by the tile count.
-    Splats must be Gaussians: :class:`SingularCovariance` unless the diagonals
-    of ``cov2d`` and its inverse are > 0 (positive definite, as a pair).  The
-    (splat, tile) candidates are spread and tested in blocks of as many as
-    ``min(mem_cap, BLOCK_BYTES)`` holds at :data:`BIN_CANDIDATE_BYTES` each."""
+    Splats must be Gaussians: :class:`SingularCovariance` unless each inverse
+    (ia, ib, ic), which alone spans, tests and blends it, has ``ia > 0`` and
+    ``ia ic - ib^2 > 0``.  (Splat, tile) candidates are spread and tested in
+    blocks of ``min(mem_cap, BLOCK_BYTES) // BIN_CANDIDATE_BYTES``."""
     ts, ntx, nty = _tile_grid(bev)
-    a, b, c = cov2d.T
-    mx, my = mean2d.T
-    bad = ~((a > 0) & (c > 0) & (inv[:, 0] > 0) & (inv[:, 2] > 0))  # NaN fails
-    if np.any(bad):
-        raise SingularCovariance(f"{np.count_nonzero(bad)} splats have a diagonal of cov2d or its "
-                                 f"inverse not > 0, the first {cov2d[bad][0]}, {inv[bad][0]}")
+    (mx, my), (ia, ib, ic) = mean2d.T, inv.T
     with np.errstate(over="ignore", invalid="ignore"):
+        det = ia * ic - ib * ib
+        bad = ~((ia > 0) & (det > 0))  # NaN fails
+        if np.any(bad):
+            raise SingularCovariance(f"{np.count_nonzero(bad)} splats have a diagonal or the "
+                                     f"determinant of the inverse not > 0, the first {inv[bad][0]}")
         k2 = 2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min)
         # alpha >= alpha_min exactly where q = d^T inv d <= k2.  As inv is positive definite,
-        # q >= u^2 / a and q >= v^2 / c, so past the span of q <= k2 (1 + 2e-9) + 1e-9, q tops k2
-        # plus the exact test's margin, 1e-12 (1 + k2 + ia u^2 + ic v^2) <= 1e-12 (1 + k2 + q /
-        # (1 - |b| / sqrt(ac))), while |b| / sqrt(ac) < 0.999; the half pixel to the next pixel
-        # centre adds 1 / (4a).
-        rx, ry = (np.sqrt((k2 * (1 + 2e-9) + 1e-9) * v) for v in (a, c))
+        # q >= u^2 / Sxx and q >= v^2 / Syy for Sxx = ic / det, Syy = ia / det, so past the span
+        # of q <= k2 (1 + 2e-9) + 1e-9, q tops k2 plus the exact test's margin, 1e-12 (1 + k2 +
+        # ia u^2 + ic v^2) <= 1e-12 (1 + k2 + q / (1 - r)), while r = |ib| / sqrt(ia ic) < 0.999:
+        # then ia ic / det = 1 / (1 - r^2) < 501, which keeps det's rounding error far inside
+        # the 2e-9 slack.  The half pixel to the next pixel centre adds 1 / (4 Sxx).
+        rx, ry = (np.sqrt((k2 * (1 + 2e-9) + 1e-9) * v / det) for v in (ic, ia))
         # written so that NaN fails: the culls come before any int conversion
         keep = (opacity >= settings.alpha_min) & (mx + rx >= 0) & (my + ry >= 0)
         idx = np.flatnonzero(keep & (mx - rx < bev.w) & (my - ry < bev.h))
@@ -472,9 +476,9 @@ def _worker_count(tiles: int, deepest: int, mem_cap: int) -> int:
     return max(min(cpus, MAX_WORKERS, tiles, mem_cap // share), 1)
 
 
-def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
+def _composite(mean2d, inv, opacity, features, bev, settings,
                mem_cap: int = DEFAULT_MEM_CAP) -> BevFeatureMap:
-    """Bin and blend splats given in blend order (float32 accumulation).
+    """Bin and blend the arrays :func:`rasterize_oracle` takes (float32 accumulation).
     Workers take the non-empty tiles from one queue, deepest first, and
     blend each in pixel groups, whole rows or part of one row, whose
     buffers of :data:`BLEND_ENTRY_BYTES` a (splat, pixel) fit
@@ -483,7 +487,7 @@ def _composite(mean2d, cov2d, inv, opacity, features, bev, settings,
     group writes only its lit rows, so only pages holding a value become
     resident."""
     out = _zero_map(features.shape[1], bev)
-    rows, tiles, starts = _bin(mean2d, cov2d, inv, opacity, bev, settings, mem_cap)
+    rows, tiles, starts = _bin(mean2d, inv, opacity, bev, settings, mem_cap)
     feats32 = features.astype(np.float32, copy=False)
     ts, ntx, _ = _tile_grid(bev)
     depth = np.diff(starts)
@@ -567,19 +571,14 @@ def rasterize(
     """Tile-based alpha-blended rasterization of a list of splats, by the
     kernels of :func:`encode`.  ``threads`` is accepted and ignored: the
     compositing workers follow the CPUs the process may run on, and the
-    map does not depend on their number.  A splat that is not a Gaussian
-    raises :class:`SingularCovariance` (see :func:`_bin`)."""
+    map does not depend on their number.  Splats are drawn by ``cov2d_inv``
+    alone and refused as :func:`_bin` says, or where a field is misshapen."""
     settings = settings or RasterSettings()
-    widths = {s.features.shape[0] for s in splats}
-    if len(widths) > 1:
-        raise ShapeMismatch(f"splats disagree on feature length: {sorted(widths)}")
-    if channels is None and not widths:
+    if channels is None and not splats:
         raise InvalidSpec("channel count required when rasterizing no splats")
-    channels = widths.pop() if channels is None else int(channels)
-    if widths and widths != {channels}:
-        raise ShapeMismatch(f"splat features have {widths.pop()} channels, expected {channels}")
     order = sort_splats(splats, settings.blend_order)
-    features = _columns(order, "features", channels)
+    features = _columns(order, "features", np.size(splats[0].features) if channels is None
+                        else int(channels))
     return _composite(*_splat_arrays(order), features, bev, settings)
 
 
@@ -638,14 +637,13 @@ def encode(
                                                             params.s_min)
             del f_lfa, f_gfa
             pos = cloud.positions
-            mean2d, cov2d, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
+            mean2d, _, inv = _project(pos, scales, quats, bev, settings.lambda_blur)
             del scales, quats
             o = _blend_order(pos[:, 2], np.arange(len(cloud)), settings.blend_order)
             # feats is a view of the head's output: once it is sorted, that
             # output is freed and only blend-ordered arrays stay
-            mean2d, cov2d, inv, feats = mean2d[o], cov2d[o], inv[o], feats[o].astype(np.float32)
-            return _composite(mean2d, cov2d, inv, np.ones(len(cloud)), feats, bev, settings,
-                              mem_cap)
+            mean2d, inv, feats = mean2d[o], inv[o], feats[o].astype(np.float32)
+            return _composite(mean2d, inv, np.ones(len(cloud)), feats, bev, settings, mem_cap)
     except FloatingPointError as exc:
         raise InvalidSpec(f"encoding overflows float64 ({exc})") from None
 

@@ -126,6 +126,19 @@ def test_encode_writes_map_and_pgm(tmp_path, small_cloud, capsys):
     assert pgm.read_bytes().startswith(b"P5\n64 64\n255\n")
 
 
+@pytest.mark.parametrize("channel", ["64", "-1"])
+def test_encode_refuses_a_pgm_channel_out_of_range_before_writing(tmp_path, small_cloud, capsys,
+                                                                  channel):
+    # the map has c = 64 channels: the channel used to be checked only after
+    # the whole encode, with the map file already written
+    out, pgm = tmp_path / "map.rgfm", tmp_path / "map.pgm"
+    code = main(["encode", "--cloud", str(small_cloud), "--out", str(out), "--pgm", str(pgm),
+                 "--pgm-channel", channel])
+    assert code == 2
+    assert f"InvalidSpec: channel {channel} out of range 0..63" in capsys.readouterr().err
+    assert not out.exists() and not pgm.exists()
+
+
 @pytest.mark.parametrize("r", ["1e-200", "1e200"])
 def test_radius_whose_square_leaves_float64_exits_2(tmp_path, small_cloud, capsys, r):
     # r=1e-200 squares to 0, so no point was its own neighbour and the

@@ -11,7 +11,9 @@ or 3).  A leaked NumPy
 ``RuntimeWarning`` fails these tests too (see pyproject).  The neighbour
 index equals the brute-force distance kernel on clouds placed on and
 around cell boundaries.  Hand-made splats are refused with
-``SingularCovariance`` or composite to the float64 oracle's map."""
+``SingularCovariance`` or composite to the float64 oracle's map, and
+binning keeps exactly the (splat, tile) pairs that its exact test keeps
+on every tile."""
 
 import contextlib
 import io
@@ -47,6 +49,7 @@ from rgkit.splat import (
     rasterize_oracle,
     read_feature_map,
 )
+from test_splat import assert_bins_exact_test_pairs
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -171,7 +174,7 @@ _AMIN = RasterSettings().alpha_min
 
 @st.composite
 def splat_arrays(draw):
-    """Blend-ordered means, ``cov2d`` and inverses as (a, b, c), opacities and
+    """Blend-ordered means, inverse covariances as (a, b, c), opacities and
     features of up to 5 hand-made splats; variances of 1e-6 to 1e4 px^2
     make needles and determinants down to about DET_EPS, and one splat in
     half the draws has a negative variance, so is no Gaussian."""
@@ -195,22 +198,55 @@ def splat_arrays(draw):
     mx, my, a, b, c, o, f = np.array(rows).T
     det = a * c - b * b
     assume(np.all(det != 0.0))
-    return (np.stack([mx, my], 1), np.stack([a, b, c], 1),
-            np.stack([c, -b, a], 1) / det[:, None], o, f[:, None])
+    return np.stack([mx, my], 1), np.stack([c, -b, a], 1) / det[:, None], o, f[:, None]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(splat_arrays())
 def test_splats_are_refused_or_composite_to_the_oracle(splats):
-    mean2d, cov2d, inv, opacity, feats = splats
+    mean2d, inv, opacity, feats = splats
     settings_ = RasterSettings(t_min=0.0)
     try:
-        tiled = _composite(mean2d, cov2d, inv, opacity, feats, _SPLAT_BEV, settings_)
+        tiled = _composite(mean2d, inv, opacity, feats, _SPLAT_BEV, settings_)
     except SingularCovariance:
         return
     oracle = rasterize_oracle(mean2d, inv, opacity, feats, _SPLAT_BEV, settings_)
     assert np.max(np.abs(tiled.data.astype(np.float64) - oracle.data)) <= 1e-4
+
+
+#: the thinnest footprint encode makes: s_min = 1e-3 m at lambda_blur = 0 and
+#: the tj4d preset's 5.44 px/m down the map, a variance of 3e-5 px^2
+_THINNEST = (1e-3 * 432 / 79.36) ** 2
+
+
+@st.composite
+def gaussian_splats(draw):
+    """Means, positive definite inverse covariances as (a, b, c) and
+    opacities of up to 5 splats: variances from :data:`_THINNEST` to 1e4
+    px^2 along x and y, correlations up to |rho| = 0.999, and means on the
+    map, off it and far off it."""
+    n = draw(st.integers(1, 5))
+    coord = st.one_of(st.floats(0.0, 40.0), st.floats(-60.0, 100.0), st.sampled_from(
+        [-1e6, 1e6, -1e300, 1e300]))
+    variance = st.floats(math.log10(_THINNEST), 4.0).map(lambda e: 10.0 ** e)
+    opacity = st.one_of(st.floats(0.05, 1.0), st.sampled_from(
+        [_AMIN, np.nextafter(_AMIN, 1.0), 1.0]))
+    rho = st.one_of(st.floats(-0.999, 0.999), st.sampled_from([-0.999, 0.999]))
+    rows = []
+    for _ in range(n):
+        ia, ic = 1.0 / draw(variance), 1.0 / draw(variance)
+        rows.append((draw(coord), draw(coord), ia, draw(rho) * math.sqrt(ia * ic), ic,
+                     draw(opacity)))
+    mx, my, ia, ib, ic, o = np.array(rows).T
+    return np.stack([mx, my], 1), np.stack([ia, ib, ic], 1), o
+
+
+@_SETTINGS
+@given(gaussian_splats(), st.sampled_from([1, 4, 16, 32]))
+def test_binning_keeps_exactly_the_pairs_the_exact_test_keeps(splats, tile_size):
+    with mock.patch.object(RasterSettings, "tile_size", tile_size):
+        assert_bins_exact_test_pairs(*splats, _SPLAT_BEV, RasterSettings())
 
 
 def _saved_weights() -> bytes:

@@ -1,6 +1,7 @@
 """Projection, tile rasterizer vs. brute force, analytic blending values,
 pillar baseline, encoder determinism, and map file formats."""
 
+import dataclasses
 import math
 import mmap
 import os
@@ -94,7 +95,7 @@ def _random_splats(seed, count, bev, channels=3):
 def oracle_of_splats(splats, bev, channels, settings):
     """:func:`rasterize_oracle` of per-object splats, put in blend order."""
     order = sort_splats(splats, settings.blend_order)
-    mean2d, _, inv, opacity = _splat_arrays(order)
+    mean2d, inv, opacity = _splat_arrays(order)
     return rasterize_oracle(mean2d, inv, opacity, _columns(order, "features", channels), bev,
                             settings)
 
@@ -327,7 +328,7 @@ def test_encode_matches_the_oracle_on_its_own_blend_ordered_arrays(monkeypatch):
     monkeypatch.setattr(splat_module, "_composite",
                         lambda *args: seen.append(args) or composite(*args))
     fmap = encode(cloud, params, bev, settings)
-    mean2d, _, inv, opacity, feats = seen[0][:5]
+    mean2d, inv, opacity, feats = seen[0][:4]
     oracle = rasterize_oracle(mean2d, inv, opacity, feats, bev, settings)
     assert nonzero_pixels(fmap) > bev.h * bev.w // 4
     diff = np.max(np.abs(fmap.data.astype(np.float64) - oracle.data.astype(np.float64)))
@@ -343,6 +344,38 @@ def test_off_map_splats_land_in_no_tile():
     assert nonzero_pixels(rasterize(splats, bev, channels=1)) == 0
     near = [project_to_bev(_prim([5.0, 0.0, 0.0]), bev, 0.3)]
     assert any(build_tile_grid(near, bev, RasterSettings()).tiles)
+
+
+def test_a_splat_is_drawn_by_its_inverse_covariance_alone():
+    # a cov2d that is not the inverse's inverse: binning used to span the
+    # splat by cov2d (one tile) where the oracle, the test and the blend read
+    # the inverse, whose alpha tops alpha_min on all 40 x 40 pixels
+    bev = BevRange(0.0, 10.0, 0.0, 10.0, 40, 40)
+    s = Splat2D(np.array([20.0, 20.0]), np.eye(2), np.diag([0.01, 0.01]), np.ones(1), 0.9,
+                (0.0, 0))
+    settings = RasterSettings()
+    oracle = oracle_of_splats([s], bev, 1, settings)
+    assert nonzero_pixels(oracle) == 1600
+    for fmap in (rasterize([s], bev, 1, settings).data,
+                 _composite_at([s], bev, 1, settings, DEFAULT_MEM_CAP)):
+        assert np.count_nonzero(fmap) == 1600
+        assert np.max(np.abs(fmap.astype(np.float64) - oracle.data)) <= 1e-6
+
+
+@pytest.mark.parametrize("field,value,calls", [
+    ("cov2d_inv", np.eye(3), ("rasterize", "build_tile_grid")),
+    ("mean2d", np.zeros(3), ("rasterize", "build_tile_grid")),
+    ("blend_key", (0.0, 1, 2), ("rasterize", "sort_splats")),
+])
+def test_a_splat_field_of_another_size_raises_shape_mismatch(field, value, calls):
+    # each call is tried on the fields it reads: sort_splats reads only blend_key
+    splats = [_center_splat(), dataclasses.replace(_center_splat(), **{field: value})]
+    run = {"rasterize": lambda: rasterize(splats, SMALL, 1),
+           "build_tile_grid": lambda: build_tile_grid(splats, SMALL, RasterSettings()),
+           "sort_splats": lambda: sort_splats(splats)}
+    for call in calls:
+        with pytest.raises(ShapeMismatch, match=f"splat's {field} is not"):
+            run[call]()
 
 
 def test_rasterize_empty_and_mismatched():
@@ -666,17 +699,21 @@ def _adversarial_splats(bev, tile_size):
 
 def _indefinite_splats(key):
     """Splats that are not Gaussians: two indefinite ones, one with a concave
-    inverse diagonal, and one whose covariance has a NaN diagonal."""
+    inverse diagonal, one whose covariance has a NaN diagonal, and one whose
+    inverse is indefinite with a positive diagonal, under a cov2d of I."""
     amin = RasterSettings().alpha_min
     return [_cov_splat(20.3, 20.6, [[1.0, 0.3], [0.3, -100.0]], 0.5, key=key),
             _cov_splat(2.5, 2.5, [[1.0, 3.0], [3.0, 1.0]], amin * math.exp(1.5), key=key),
-            _cov_splat(5.0, 5.0, [[np.nan, 0.0], [0.0, 1.0]], 0.5, key=key)]
+            _cov_splat(5.0, 5.0, [[np.nan, 0.0], [0.0, 1.0]], 0.5, key=key),
+            Splat2D(np.array([20.0, 20.0]), np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                    np.ones(1), 0.5, (0.0, key))]
 
 
-@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("which", [0, 1, 2, 3])
 def test_splats_that_are_not_gaussians_raise_singular_covariance(which):
-    # binning spans each splat over its ellipse, which only a positive definite
-    # covariance bounds; every entry point refuses the others
+    # binning spans each splat over the ellipse of its inverse covariance,
+    # which only a positive definite one bounds; every entry point refuses
+    # the others
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     splats = _random_splats(90, 5, bev, channels=1) + [_indefinite_splats(5)[which]]
     settings = RasterSettings()
@@ -746,20 +783,51 @@ def _needles(bev, count=60):
     return out + [_disc_splat(20.0, 20.0, opacity=amin, var=1e100, key=count)]
 
 
+def exact_test_pairs(mean2d, inv, opacity, bev, settings):
+    """The (row, tile) pairs, tile by tile and rows ascending, that binning's
+    exact test keeps when run on every tile of the map, not only on a
+    splat's span: a copy of the test.  Rows below ``alpha_min`` are culled,
+    as are means 1e150 px or more from the origin, whose squared offsets
+    overflow (NaN keeps a pair); no span of a finite-variance test splat
+    reaches that far."""
+    ts, ntx, nty = splat_module._tile_grid(bev)
+    near = (opacity >= settings.alpha_min) & np.all(np.abs(mean2d) < 1e150, axis=1)
+    row = np.repeat(np.flatnonzero(near), ntx * nty)
+    tile = np.tile(np.arange(ntx * nty), np.count_nonzero(near))
+    ty, tx = np.divmod(tile, ntx)
+    (mx, my), (ia, ib, ic) = mean2d[row].T, inv[row].T
+    kk = 2.0 * np.log(np.maximum(opacity, settings.alpha_min) / settings.alpha_min)[row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0, u1 = (tx * ts + 0.5) - mx, (np.minimum(tx * ts + ts, bev.w) - 0.5) - mx
+        v0, v1 = (ty * ts + 0.5) - my, (np.minimum(ty * ts + ts, bev.h) - 0.5) - my
+        u = np.array([u0, u1, np.clip(-(ib * v0) / ia, u0, u1), np.clip(-(ib * v1) / ia, u0, u1)])
+        v = np.array([np.clip(-(ib * u0) / ic, v0, v1), np.clip(-(ib * u1) / ic, v0, v1), v0, v1])
+        qmin = ((ia * u) * u + 2.0 * ib * (u * v) + (ic * v) * v).min(axis=0)
+        qmin[(u0 <= 0) & (u1 >= 0) & (v0 <= 0) & (v1 >= 0)] = 0.0
+        margin = 1e-12 * (1 + kk + ia * np.maximum(u0 * u0, u1 * u1)
+                          + ic * np.maximum(v0 * v0, v1 * v1))
+        hit = ~(qmin > kk + margin)
+    order = np.lexsort((row[hit], tile[hit]))
+    return row[hit][order], tile[hit][order]
+
+
+def assert_bins_exact_test_pairs(mean2d, inv, opacity, bev, settings):
+    """Binning keeps exactly the pairs of :func:`exact_test_pairs`."""
+    rows, tiles, starts = splat_module._bin(mean2d, inv, opacity, bev, settings)
+    want_rows, want_tiles = exact_test_pairs(mean2d, inv, opacity, bev, settings)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(np.repeat(tiles, np.diff(starts)), want_tiles)
+
+
 @pytest.mark.parametrize("tile_size", [1, 4, 16, 32])
 def test_binning_spans_drop_no_pair_the_exact_test_keeps(tile_size, monkeypatch):
-    # binning tests the tiles of each splat's ellipse span; widened to the
-    # whole map, the exact test alone must keep the same pairs
+    # binning tests the tiles of each splat's ellipse span; run on every
+    # tile of the map, the exact test alone must keep the same pairs
     monkeypatch.setattr(RasterSettings, "tile_size", tile_size)
     bev = BevRange(0.0, 10.0, 0.0, 9.25, 37, 40)
     settings = RasterSettings(lambda_blur=0.0, blend_order="index")
     for splats in (_adversarial_splats(bev, tile_size), _needles(bev)):
-        mean2d, cov2d, inv, opacity = _splat_arrays(sort_splats(splats, "index"))
-        wide = np.broadcast_to((1e300, 0.0, 1e300), cov2d.shape)
-        got = splat_module._bin(mean2d, cov2d, inv, opacity, bev, settings)
-        want = splat_module._bin(mean2d, wide, inv, opacity, bev, settings)
-        for g, w in zip(got, want, strict=True):
-            np.testing.assert_array_equal(g, w)
+        assert_bins_exact_test_pairs(*_splat_arrays(sort_splats(splats, "index")), bev, settings)
         _assert_same_bytes(rasterize(splats, bev, 1, settings).data,
                            _ref_rasterize(splats, bev, 1, settings))
 
